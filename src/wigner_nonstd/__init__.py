@@ -44,7 +44,6 @@ from .su2gen import (
 )
 from .nonstandard import (
     AlphaLabel,
-    SymbolValue,
     TensorOperator,
     alpha_labels,
     basis_matrix,
@@ -79,7 +78,6 @@ __all__ = [
     "ResidualReport",
     "SpinOperatorSet",
     "SpinSpace",
-    "SymbolValue",
     "TensorOperator",
     "alpha_labels",
     "basis_matrix",

@@ -9,9 +9,10 @@ export-ops         generator matrices on one multiplet as JSON/CSV
 verify             run every invariant suite and emit a pass/fail report
 
 Complex numbers serialize as [re, im]; half-integers as reduced strings
-("3/2", "2"); tables are sorted by label tuple. CSV output adds magnitude
-and phase columns. A config file in key = value form may supply any long
-flag's value; explicit flags win. Exit status: 0 success, 1 verification
+("3/2", "2"); table rows are sorted numerically by label tuple, and equal
+tuples keep their input order. CSV output adds magnitude and phase
+columns. A config file in key = value form may supply any long flag's
+value; explicit flags win. Exit status: 0 success, 1 verification
 failure, 2 bad arguments.
 """
 
@@ -20,26 +21,22 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .halfint import HalfInt, coupled_j_values, m_values
-from .nonstandard import (
-    SymbolValue,
-    alpha_labels,
-    cg_nonstandard_tensor,
-    fbar_tensor,
-)
+from .nonstandard import alpha_labels, cg_nonstandard_tensor, fbar_tensor
 from .standard_wra import cg, sixj, threejm
 from .su2gen import SpinSpace, build_spin_ops
-from .verify import VerifyConfig, default_thread_count, report_dict, run_suites
+from .verify import VerifyConfig, report_dict, run_suites
 
 MAX_TWICE_J = 128
 
@@ -59,21 +56,19 @@ def parse_half(text: str) -> HalfInt:
 
 
 def parse_r_list(text: str) -> tuple[float, ...]:
-    """Comma-separated r values, each a decimal or a rational p/q."""
+    """Comma-separated r values, each a finite decimal or a rational p/q."""
     values = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
-            if "/" in piece:
-                values.append(float(Fraction(piece)))
-            else:
-                values.append(float(piece))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"cannot parse r value {piece!r}") from None
+            values.append(float(Fraction(piece)))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ConfigError(
+                f"--r: cannot parse {piece!r} as a finite decimal or p/q") from None
     if not values:
-        raise ConfigError("empty r list")
+        raise ConfigError("--r: empty list")
     return tuple(values)
 
 
@@ -138,164 +133,153 @@ class JobConfig:
     # None means "not given": tabulation falls back to r = 0, verify to its
     # own four-value sweep
     r_values: tuple[float, ...] | None = None
-    k_values: tuple[int, ...] = tuple(range(2, 13))
-    j_max: HalfInt = HalfInt(25)
-    tol: float | None = None
-    seed: int = 20260823
-    threads: int = field(default_factory=default_thread_count)
+    verify: VerifyConfig = field(default_factory=VerifyConfig)
     fmt: str = "json"
     output: str | None = None
-
-
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
 
 
 def _complex_pair(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
-def _label_sort_key(labels: tuple[str, ...]):
-    key = []
-    for text in labels:
-        try:
-            key.append((0, float(Fraction(text))))
-            continue
-        except ValueError:
-            pass
-        try:
-            key.append((0, float(text)))
-        except ValueError:
-            key.append((1, text))
-    return key
-
-
 # ---------------------------------------------------------------------------
-# table builders; each returns (column names, rows of SymbolValue, extra cols)
+# symbol tables. A label is a (sort key, text) pair; a block is one value
+# tensor with its fixed labels and one label axis per tensor index.
 
-def _cg_table(config: JobConfig) -> tuple[list[str], list[SymbolValue], dict]:
-    if config.j1 is None or config.j2 is None:
-        raise ConfigError("tabulate-cg needs --j1 and --j2")
-    columns = ["j1", "j2", "j", "r", "alpha1", "alpha2", "alpha"]
-    rows = []
-    for r in config.r_values:
-        sp1, sp2 = SpinSpace(config.j1, r), SpinSpace(config.j2, r)
-        for j in coupled_j_values(config.j1, config.j2):
-            sp = SpinSpace(j, r)
-            tensor = cg_nonstandard_tensor(sp1, sp2, sp)
-            labs1, labs2, labs = alpha_labels(sp1), alpha_labels(sp2), alpha_labels(sp)
-            for s1, l1 in enumerate(labs1):
-                for s2, l2 in enumerate(labs2):
-                    for s, l in enumerate(labs):
-                        rows.append(SymbolValue(
-                            labels=(str(config.j1), str(config.j2), str(j),
-                                    _fmt_float(r), _fmt_float(l1.alpha),
-                                    _fmt_float(l2.alpha), _fmt_float(l.alpha)),
-                            value=complex(tensor[s1, s2, s]),
-                            scheme="nonstandard", formula="cg"))
-    return columns, rows, {}
+_Label = tuple[float, str]
 
 
-def _fbar_table(config: JobConfig) -> tuple[list[str], list[SymbolValue], dict]:
-    if config.j1 is None or config.j2 is None or config.j3 is None:
-        raise ConfigError("tabulate-fbar needs --j1, --j2 and --j3")
-    columns = ["j1", "j2", "j3", "r", "alpha1", "alpha2", "alpha3"]
-    rows = []
-    for r in config.r_values:
-        spaces = (SpinSpace(config.j1, r), SpinSpace(config.j2, r), SpinSpace(config.j3, r))
-        tensor = fbar_tensor(*spaces)
-        all_labels = [alpha_labels(sp) for sp in spaces]
-        for s1, l1 in enumerate(all_labels[0]):
-            for s2, l2 in enumerate(all_labels[1]):
-                for s3, l3 in enumerate(all_labels[2]):
-                    rows.append(SymbolValue(
-                        labels=(str(config.j1), str(config.j2), str(config.j3),
-                                _fmt_float(r), _fmt_float(l1.alpha),
-                                _fmt_float(l2.alpha), _fmt_float(l3.alpha)),
-                        value=complex(tensor[s1, s2, s3]),
-                        scheme="nonstandard", formula="fbar"))
-    return columns, rows, {}
+def _half_label(value: HalfInt) -> _Label:
+    return float(value), str(value)
 
 
-def _standard_table(config: JobConfig) -> tuple[list[str], list[SymbolValue], dict]:
-    exact: dict[tuple[str, ...], str] = {}
-    rows = []
-    if config.symbol == "cg":
-        if config.j1 is None or config.j2 is None or config.j is None:
-            raise ConfigError("tabulate-standard --symbol cg needs --j1, --j2 and --j")
-        columns = ["j1", "j2", "j", "m1", "m2", "m"]
-        for m1 in m_values(config.j1):
-            for m2 in m_values(config.j2):
-                for m in m_values(config.j):
-                    value = cg(config.j1, config.j2, m1, m2, config.j, m)
-                    labels = (str(config.j1), str(config.j2), str(config.j),
-                              str(m1), str(m2), str(m))
-                    rows.append(SymbolValue(labels=labels, value=complex(float(value)),
-                                            scheme="standard", formula="cg"))
-                    exact[labels] = str(value)
-    elif config.symbol == "threejm":
-        if config.j1 is None or config.j2 is None or config.j3 is None:
-            raise ConfigError("tabulate-standard --symbol threejm needs --j1, --j2 and --j3")
-        columns = ["j1", "j2", "j3", "m1", "m2", "m3"]
-        for m1 in m_values(config.j1):
-            for m2 in m_values(config.j2):
-                for m3 in m_values(config.j3):
-                    value = threejm(config.j1, config.j2, config.j3, m1, m2, m3)
-                    labels = (str(config.j1), str(config.j2), str(config.j3),
-                              str(m1), str(m2), str(m3))
-                    rows.append(SymbolValue(labels=labels, value=complex(float(value)),
-                                            scheme="standard", formula="threejm"))
-                    exact[labels] = str(value)
-    elif config.symbol == "sixj":
+def _float_label(value: float) -> _Label:
+    return float(value), repr(float(value))
+
+
+def _alpha_axis(space: SpinSpace) -> tuple[_Label, ...]:
+    return tuple(_float_label(label.alpha) for label in alpha_labels(space))
+
+
+@dataclass(frozen=True)
+class _Block:
+    fixed: tuple[_Label, ...]
+    axes: tuple[tuple[_Label, ...], ...]
+    values: np.ndarray  # C order over the axes
+    exact: tuple[str, ...] | None = None
+
+
+@dataclass(frozen=True)
+class _Table:
+    columns: list[str]
+    scheme: str
+    formula: str
+    blocks: list[_Block]
+
+
+def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
+    j1, j2, j3 = config.j1, config.j2, config.j3
+    if config.command == "tabulate-cg":
+        if j1 is None or j2 is None:
+            raise ConfigError("tabulate-cg needs --j1 and --j2")
+        blocks = []
+        for r in r_values:
+            sp1, sp2 = SpinSpace(j1, r), SpinSpace(j2, r)
+            for j in coupled_j_values(j1, j2):
+                sp = SpinSpace(j, r)
+                blocks.append(_Block(
+                    (_half_label(j1), _half_label(j2), _half_label(j), _float_label(r)),
+                    (_alpha_axis(sp1), _alpha_axis(sp2), _alpha_axis(sp)),
+                    cg_nonstandard_tensor(sp1, sp2, sp)))
+        return _Table(["j1", "j2", "j", "r", "alpha1", "alpha2", "alpha"],
+                      "nonstandard", "cg", blocks)
+    if config.command == "tabulate-fbar":
+        if j1 is None or j2 is None or j3 is None:
+            raise ConfigError("tabulate-fbar needs --j1, --j2 and --j3")
+        blocks = []
+        for r in r_values:
+            spaces = (SpinSpace(j1, r), SpinSpace(j2, r), SpinSpace(j3, r))
+            blocks.append(_Block(
+                (_half_label(j1), _half_label(j2), _half_label(j3), _float_label(r)),
+                tuple(_alpha_axis(sp) for sp in spaces),
+                fbar_tensor(*spaces)))
+        return _Table(["j1", "j2", "j3", "r", "alpha1", "alpha2", "alpha3"],
+                      "nonstandard", "fbar", blocks)
+
+    if config.symbol == "sixj":
         if len(config.sixj_labels) != 6:
             raise ConfigError("tabulate-standard --symbol sixj needs --labels with six entries")
-        columns = ["j1", "j2", "j3", "j4", "j5", "j6"]
         value = sixj(*config.sixj_labels)
-        labels = tuple(str(x) for x in config.sixj_labels)
-        rows.append(SymbolValue(labels=labels, value=complex(float(value)),
-                                scheme="standard", formula="sixj"))
-        exact[labels] = str(value)
+        block = _Block(tuple(map(_half_label, config.sixj_labels)), (),
+                       np.array(float(value)), (str(value),))
+        return _Table(["j1", "j2", "j3", "j4", "j5", "j6"], "standard", "sixj", [block])
+    if config.symbol == "cg":
+        if j1 is None or j2 is None or config.j is None:
+            raise ConfigError("tabulate-standard --symbol cg needs --j1, --j2 and --j")
+        spins = (j1, j2, config.j)
+        columns = ["j1", "j2", "j", "m1", "m2", "m"]
+        values = [cg(j1, j2, m1, m2, config.j, m)
+                  for m1, m2, m in itertools.product(*map(m_values, spins))]
+    elif config.symbol == "threejm":
+        if j1 is None or j2 is None or j3 is None:
+            raise ConfigError("tabulate-standard --symbol threejm needs --j1, --j2 and --j3")
+        spins = (j1, j2, j3)
+        columns = ["j1", "j2", "j3", "m1", "m2", "m3"]
+        values = [threejm(j1, j2, j3, *ms)
+                  for ms in itertools.product(*map(m_values, spins))]
     else:
         raise ConfigError(f"unknown symbol {config.symbol!r}; pick cg, threejm or sixj")
-    return columns, rows, {"exact": exact}
+    axes = tuple(tuple(map(_half_label, m_values(x))) for x in spins)
+    tensor = np.array([float(v) for v in values]).reshape([len(axis) for axis in axes])
+    block = _Block(tuple(map(_half_label, spins)), axes, tensor, tuple(map(str, values)))
+    return _Table(columns, "standard", config.symbol, [block])
 
 
-def _table_json(columns: list[str], rows: list[SymbolValue], extras: dict) -> str:
-    exact = extras.get("exact", {})
-    payload = {
-        "columns": columns,
-        "scheme": rows[0].scheme if rows else None,
-        "formula": rows[0].formula if rows else None,
-        "rows": [],
-    }
-    for row in sorted(rows, key=lambda r: _label_sort_key(r.labels)):
-        entry = {"labels": list(row.labels), "value": _complex_pair(row.value)}
-        if row.labels in exact:
-            entry["exact"] = exact[row.labels]
-        payload["rows"].append(entry)
-    return json.dumps(payload, indent=2) + "\n"
+def _format_table(table: _Table, fmt: str) -> str:
+    """Serialize the rows in the stable order of their numeric label tuples."""
+    keys, texts = [], []
+    for block in table.blocks:
+        # a fixed label is an axis of length one
+        axes = tuple((label,) for label in block.fixed) + block.axes
+        grid = np.indices([len(axis) for axis in axes]).reshape(len(axes), -1)
+        keys.append([np.array([key for key, _ in axis])[idx]
+                     for axis, idx in zip(axes, grid)])
+        texts.append([np.array([text for _, text in axis], dtype=object)[idx]
+                      for axis, idx in zip(axes, grid)])
+    # lexsort is stable and takes its last key as the primary one
+    order = np.lexsort(np.concatenate(keys, axis=1)[::-1])
+    labels = np.concatenate(texts, axis=1)[:, order].T.tolist()
+    values = np.concatenate([block.values.ravel() for block in table.blocks])[order]
+    if not np.isfinite(values).all():
+        raise ValueError("symbol value must be finite")
+    exact = [text for block in table.blocks for text in block.exact or ()]
+    rows = zip(labels, values.astype(complex).tolist(),
+               [exact[i] for i in order] if exact else itertools.repeat(None))
 
+    if fmt == "json":
+        entries = []
+        for row_labels, value, text in rows:
+            entry = {"labels": row_labels, "value": _complex_pair(value)}
+            if text is not None:
+                entry["exact"] = text
+            entries.append(entry)
+        payload = {"columns": table.columns, "scheme": table.scheme,
+                   "formula": table.formula, "rows": entries}
+        return json.dumps(payload, indent=2) + "\n"
 
-def _table_csv(columns: list[str], rows: list[SymbolValue], extras: dict) -> str:
-    exact = extras.get("exact", {})
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = columns + ["re", "im", "magnitude", "phase"]
-    if exact:
-        header.append("exact")
-    writer.writerow(header)
-    for row in sorted(rows, key=lambda r: _label_sort_key(r.labels)):
-        record = list(row.labels) + [
-            repr(row.value.real), repr(row.value.imag),
-            repr(row.magnitude), repr(row.phase),
-        ]
-        if exact:
-            record.append(exact.get(row.labels, ""))
-        writer.writerow(record)
+    writer.writerow(table.columns + ["re", "im", "magnitude", "phase"]
+                    + (["exact"] if exact else []))
+    for row_labels, value, text in rows:
+        phase = math.atan2(value.imag, value.real) if value != 0 else 0.0
+        writer.writerow(row_labels + [repr(value.real), repr(value.imag),
+                                      repr(abs(value)), repr(phase)]
+                        + ([text] if text is not None else []))
     return buf.getvalue()
 
 
-def _export_ops_payload(config: JobConfig) -> dict:
+def _export_ops_payload(config: JobConfig, r_values: tuple[float, ...]) -> dict:
     if config.j is None:
         raise ConfigError("export-ops needs --j")
 
@@ -304,7 +288,7 @@ def _export_ops_payload(config: JobConfig) -> dict:
                 for i in range(entries.shape[0])]
 
     exports = []
-    for r in config.r_values:
+    for r in r_values:
         space = SpinSpace(config.j, r)
         ops = build_spin_ops(space)
         exports.append({
@@ -362,33 +346,22 @@ def run(config: JobConfig) -> int:
     """Execute one job; returns the process exit status."""
     if config.fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {config.fmt!r}")
+    r_values = config.r_values or (0.0,)
     if config.command in ("tabulate-cg", "tabulate-fbar", "tabulate-standard"):
-        if config.r_values is None:
-            config.r_values = (0.0,)
-        builder = {
-            "tabulate-cg": _cg_table,
-            "tabulate-fbar": _fbar_table,
-            "tabulate-standard": _standard_table,
-        }[config.command]
-        columns, rows, extras = builder(config)
-        text = (_table_json if config.fmt == "json" else _table_csv)(columns, rows, extras)
-        write_output(text, config.output)
+        table = _build_table(config, r_values)
+        write_output(_format_table(table, config.fmt), config.output)
         return 0
     if config.command == "export-ops":
-        if config.r_values is None:
-            config.r_values = (0.0,)
-        payload = _export_ops_payload(config)
+        payload = _export_ops_payload(config, r_values)
         if config.fmt == "json":
             write_output(json.dumps(payload, indent=2) + "\n", config.output)
         else:
             write_output(_export_ops_csv(payload), config.output)
         return 0
     if config.command == "verify":
-        vconfig = VerifyConfig(
-            j_max=config.j_max, k_values=config.k_values,
-            tol=config.tol, seed=config.seed, threads=config.threads)
+        vconfig = config.verify
         if config.r_values is not None:
-            vconfig.r_values = config.r_values
+            vconfig = replace(vconfig, r_values=config.r_values)
         results = run_suites(vconfig)
         report = report_dict(results, vconfig)
         if config.fmt == "json":
@@ -483,19 +456,19 @@ def make_config(args: argparse.Namespace) -> JobConfig:
     if pick("r") is not None:
         config.r_values = parse_r_list(pick("r"))
     if pick("k") is not None:
-        config.k_values = parse_k_list(pick("k"))
+        config.verify.k_values = parse_k_list(pick("k"))
     if pick("j_max", "j-max") is not None:
-        config.j_max = parse_half(pick("j_max", "j-max"))
+        config.verify.j_max = parse_half(pick("j_max", "j-max"))
     if pick("tol") is not None:
-        config.tol = parse_tol(pick("tol"))
+        config.verify.tol = parse_tol(pick("tol"))
     if pick("seed") is not None:
         try:
-            config.seed = int(pick("seed"))
+            config.verify.seed = int(pick("seed"))
         except ValueError:
             raise ConfigError(f"cannot parse seed {pick('seed')!r}") from None
     if pick("threads") is not None:
         try:
-            config.threads = max(1, int(pick("threads")))
+            config.verify.threads = max(1, int(pick("threads")))
         except ValueError:
             raise ConfigError(f"cannot parse threads {pick('threads')!r}") from None
     if pick("fmt", "format") is not None:
@@ -511,9 +484,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = make_config(args)
         return run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -422,31 +422,3 @@ def recoupling_invariance_check(j1: HalfInt, j2: HalfInt, j3: HalfInt,
         "outer_label_spread": float(np.max(np.abs(values - values[0]))),
     }
     return ResidualReport(res)
-
-
-@dataclass(frozen=True)
-class SymbolValue:
-    """One tabulated symbol: label tuple, value and provenance tags.
-
-    scheme is "standard" or "nonstandard"; formula names the symbol
-    family (e.g. "cg", "fbar", "sixj") for machine-readable output.
-    """
-
-    labels: tuple[str, ...]
-    value: complex
-    scheme: str
-    formula: str
-
-    def __post_init__(self) -> None:
-        if self.scheme not in ("standard", "nonstandard"):
-            raise ValueError(f"scheme must be standard or nonstandard, got {self.scheme!r}")
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError("symbol value must be finite")
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-    @property
-    def phase(self) -> float:
-        return math.atan2(self.value.imag, self.value.real) if self.value != 0 else 0.0

@@ -6,9 +6,12 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from wigner_nonstd import cli
 from wigner_nonstd.cli import (
     ConfigError,
     main,
@@ -57,6 +60,17 @@ class TestParsers:
             parse_r_list("1/0")
         with pytest.raises(ConfigError):
             parse_r_list(",")
+        for bad in ("nan", "inf", "-inf", "1e400", "0.5,nan"):
+            with pytest.raises(ConfigError, match="--r"):
+                parse_r_list(bad)
+
+    def test_non_finite_r_exits_two_naming_the_flag(self, capsys):
+        assert run_main("tabulate-cg", "--j1", "1/2", "--j2", "1/2", "--r=0,nan") == 2
+        err = capsys.readouterr().err
+        assert "--r" in err and "'nan'" in err
+        assert run_main("verify", "--j-max", "1/2", "--k", "2", "--r=1e400") == 2
+        err = capsys.readouterr().err
+        assert "--r" in err and "'1e400'" in err
 
     def test_parse_k_list(self):
         assert parse_k_list("2,4") == (2, 4)
@@ -111,12 +125,21 @@ class TestTabulateCg:
         assert hits, "expected a purely imaginary coupling of magnitude 1/sqrt2"
 
     def test_rows_are_sorted_by_labels(self, capsys):
-        from fractions import Fraction
-
-        payload = run_json(capsys, "tabulate-cg", "--j1", "1/2", "--j2", "1/2")
-        keys = [[float(Fraction(x)) for x in row["labels"][:4]]
-                for row in payload["rows"]]
-        assert keys == sorted(keys)
+        r_list = ["0.37", "-1.3", "0.37", "0"]
+        jobs = [
+            (["tabulate-cg", "--j1", "1", "--j2", "1/2"], r_list),
+            (["tabulate-fbar", "--j1", "1/2", "--j2", "1", "--j3", "1/2"], r_list),
+            # the m-scheme table does not depend on r: one block whatever --r says
+            (["tabulate-standard", "--symbol", "cg", "--j1", "1", "--j2", "1/2",
+              "--j", "3/2"], ["0"]),
+        ]
+        for argv, pieces in jobs:
+            rows = run_json(capsys, *argv, "--r=" + ",".join(r_list))["rows"]
+            # the rows of each r on its own, in input order, then a stable sort
+            unsorted = [row for r in pieces
+                        for row in run_json(capsys, *argv, f"--r={r}")["rows"]]
+            assert rows == sorted(
+                unsorted, key=lambda row: [Fraction(x) for x in row["labels"]])
 
     def test_default_r_is_zero(self, capsys):
         payload = run_json(capsys, "tabulate-cg", "--j1", "1/2", "--j2", "1/2")
@@ -139,6 +162,29 @@ class TestTabulateCg:
     def test_missing_labels_exit_two(self, capsys):
         assert run_main("tabulate-cg", "--j1", "1/2") == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_value_exits_two_and_writes_nothing(self, capsys, tmp_path,
+                                                            monkeypatch):
+        def nan_tensor(sp1, sp2, sp):
+            return np.full((sp1.dim, sp2.dim, sp.dim), complex("nan"))
+
+        monkeypatch.setattr(cli, "cg_nonstandard_tensor", nan_tensor)
+        out = tmp_path / "table.json"
+        assert run_main("tabulate-cg", "--j1", "1/2", "--j2", "1/2",
+                        "--output", str(out)) == 2
+        assert "symbol value must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_signed_zero_has_zero_phase(self, capsys, monkeypatch):
+        # atan2 would give -pi for -0.0 - 0.0j; a zero value keeps phase 0.0
+        def negative_zero_tensor(sp1, sp2, sp):
+            return np.full((sp1.dim, sp2.dim, sp.dim), complex(-0.0, -0.0))
+
+        monkeypatch.setattr(cli, "cg_nonstandard_tensor", negative_zero_tensor)
+        code = run_main("tabulate-cg", "--j1", "1/2", "--j2", "1/2", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert {(r["re"], r["im"], r["phase"]) for r in rows} == {("-0.0", "-0.0", "0.0")}
 
 
 class TestTabulateFbar:
@@ -189,6 +235,25 @@ class TestTabulateStandard:
         header = next(reader)
         assert header[-1] == "exact"
         assert next(reader)[-1] == "1/6"
+
+    def test_csv_zero_value_has_zero_phase(self, capsys):
+        code = run_main("tabulate-standard", "--symbol", "cg", "--j1", "1/2",
+                        "--j2", "1/2", "--j", "0", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        row = next(r for r in rows if (r["m1"], r["m2"], r["m"]) == ("1/2", "1/2", "0"))
+        assert float(row["re"]) == 0.0 and row["exact"] == "0"
+        assert row["magnitude"] == "0.0"
+        assert row["phase"] == "0.0"
+
+    def test_csv_phase_of_negative_value(self, capsys):
+        code = run_main("tabulate-standard", "--symbol", "cg", "--j1", "1/2",
+                        "--j2", "1/2", "--j", "0", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        row = next(r for r in rows if (r["m1"], r["m2"]) == ("-1/2", "1/2"))
+        assert float(row["re"]) < 0
+        assert float(row["phase"]) == math.pi
 
 
 class TestExportOps:

@@ -16,7 +16,6 @@ import pytest
 from wigner_nonstd.halfint import HalfInt, coupled_j_values
 from wigner_nonstd.nonstandard import (
     AlphaLabel,
-    SymbolValue,
     TensorOperator,
     alpha_labels,
     basis_matrix,
@@ -575,27 +574,3 @@ class TestRecoupling:
         other = recoupling_invariance_check(H(2), H(2), H(2), H(4), H(2), H(2), 2.5)
         assert base.within(1e-10)
         assert other.within(1e-10)
-
-
-# ---------------------------------------------------------------------------
-# Tabulated symbol container
-
-
-class TestSymbolValue:
-    def test_valid_construction(self):
-        sv = SymbolValue(labels=("1/2", "1/2", "0"), value=0.5j,
-                         scheme="nonstandard", formula="cg")
-        assert sv.magnitude == 0.5
-        assert math.isclose(sv.phase, math.pi / 2)
-
-    def test_scheme_validated(self):
-        with pytest.raises(ValueError):
-            SymbolValue(labels=(), value=1.0, scheme="other", formula="cg")
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            SymbolValue(labels=(), value=complex("nan"), scheme="standard", formula="cg")
-
-    def test_zero_phase_convention(self):
-        sv = SymbolValue(labels=(), value=0.0, scheme="standard", formula="cg")
-        assert sv.phase == 0.0
