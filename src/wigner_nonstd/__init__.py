@@ -23,7 +23,7 @@ from .standard_wra import (
     threejm,
 )
 from .quon import (
-    OperatorMatrix,
+    KronPair,
     QDeformation,
     QuonRep,
     build_h,
@@ -71,7 +71,7 @@ __all__ = [
     "ExactSqrtRational",
     "HalfInt",
     "IncompatibleRadicalError",
-    "OperatorMatrix",
+    "KronPair",
     "QDeformation",
     "QuonRep",
     "RadicalSum",

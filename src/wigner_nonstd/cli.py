@@ -34,6 +34,7 @@ import numpy as np
 
 from .halfint import HalfInt, coupled_j_values, m_values
 from .nonstandard import alpha_labels, cg_nonstandard_tensor, fbar_tensor
+from .quon import MAX_K
 from .standard_wra import cg, sixj, threejm
 from .su2gen import SpinSpace, build_spin_ops
 from .verify import VerifyConfig, report_dict, run_suites
@@ -73,7 +74,11 @@ def parse_r_list(text: str) -> tuple[float, ...]:
 
 
 def parse_k_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; an item may be a span like 2-8."""
+    """Comma-separated integers in [2, MAX_K]; an item may be a span like 2-8.
+
+    Both ends of a span are checked before it is expanded, and a k given
+    twice is refused.
+    """
     values: list[int] = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -82,13 +87,22 @@ def parse_k_list(text: str) -> tuple[int, ...]:
         try:
             if "-" in piece.lstrip("-"):
                 lo_text, hi_text = piece.split("-", 1)
-                values.extend(range(int(lo_text), int(hi_text) + 1))
+                lo, hi = int(lo_text), int(hi_text)
             else:
-                values.append(int(piece))
+                lo = hi = int(piece)
         except ValueError:
-            raise ConfigError(f"cannot parse k value {piece!r}") from None
-    if not values or any(k < 2 for k in values):
-        raise ConfigError("k list must be non-empty with every k >= 2")
+            raise ConfigError(f"--k: cannot parse {piece!r}") from None
+        for bound in (lo, hi):
+            if not 2 <= bound <= MAX_K:
+                raise ConfigError(f"--k: {bound} in {piece!r} is outside [2, {MAX_K}]")
+        if lo > hi:
+            raise ConfigError(f"--k: span {piece!r} is empty")
+        for k in range(lo, hi + 1):
+            if k in values:
+                raise ConfigError(f"--k: {k} is given more than once in {text!r}")
+            values.append(k)
+    if not values:
+        raise ConfigError("--k: empty list")
     return tuple(values)
 
 
@@ -423,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run all invariant suites")
     add_common(p)
     p.add_argument("--j-max", dest="j_max")
-    p.add_argument("--k", help="comma list of k values; spans like 2-8 allowed")
+    p.add_argument("--k", help=f"comma list of k values in [2, {MAX_K}]; spans like 2-8 allowed")
     p.add_argument("--tol", help="override every per-check default tolerance")
     p.add_argument("--seed")
     p.add_argument("--threads")

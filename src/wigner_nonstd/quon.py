@@ -6,6 +6,18 @@ the k^2-dimensional product space with basis |n_a, n_b> ordered n_a-major.
 On that space we build the Hermitean factor H and the unitary shift U_r of
 the polar decomposition, and the discrete translation generators that close
 a trigonometric sine algebra.
+
+Product-space operators are kept in their k x k structure:
+
+- an a-mode operator is A (x) 1, a b-mode operator 1 (x) B, and U_r is
+  A (x) B; each is a KronPair of k x k factors, and products follow the
+  mixed-product rule (A (x) B)(C (x) D) = AC (x) BD;
+- the diagonal operators H and V are k x k grids of their diagonal,
+  entry [n_a, n_b] acting on |n_a, n_b>.
+
+The relation and cyclicity checks therefore cost O(k^3) time and O(k^2)
+memory. Only the sine-algebra generators are formed as dense k^2 x k^2
+matrices, for the small k at which that bracket is checked entrywise.
 """
 
 from __future__ import annotations
@@ -94,110 +106,60 @@ def fock_basis(k: int) -> tuple[FockLabel, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """A dense complex matrix tied to an ordered basis label tuple.
+class KronPair:
+    """The product-space operator kron(a, b), held as its two k x k factors."""
 
-    The entry array is copied on construction and frozen; all algebraic
-    operations return new instances over the same basis.
-    """
-
-    entries: np.ndarray
-    basis: tuple
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"entries must be a square matrix, got shape {mat.shape}")
-        if mat.shape[0] != len(self.basis):
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1] or self.a.shape != self.b.shape:
             raise ValueError(
-                f"matrix dimension {mat.shape[0]} does not match basis size {len(self.basis)}"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "basis", tuple(self.basis))
+                f"factors must be square and of one size, got {self.a.shape} and {self.b.shape}")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    def __matmul__(self, other: "KronPair") -> "KronPair":
+        return KronPair(self.a @ other.a, self.b @ other.b)
 
-    def _check_basis(self, other: "OperatorMatrix") -> None:
-        if self.basis != other.basis:
-            raise ValueError("operators act on different bases")
+    def power(self, n: int) -> "KronPair":
+        return KronPair(np.linalg.matrix_power(self.a, n), np.linalg.matrix_power(self.b, n))
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.basis)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_basis(other)
-        return OperatorMatrix(self.entries @ other.entries, self.basis)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_basis(other)
-        return OperatorMatrix(self.entries + other.entries, self.basis)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_basis(other)
-        return OperatorMatrix(self.entries - other.entries, self.basis)
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(-self.entries, self.basis)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries * scalar, self.basis)
-
-    __rmul__ = __mul__
-
-    def commutator(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self @ other - other @ self
-
-    def power(self, n: int) -> "OperatorMatrix":
-        if n < 0:
-            raise ValueError("power expects a non-negative exponent")
-        return OperatorMatrix(np.linalg.matrix_power(self.entries, n), self.basis)
-
-    def max_abs(self) -> float:
-        if self.entries.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.entries)))
-
-    @classmethod
-    def identity(cls, basis: tuple) -> "OperatorMatrix":
-        return cls(np.eye(len(basis), dtype=complex), basis)
+    def dense(self) -> np.ndarray:
+        """The k^2 x k^2 matrix in the n_a-major basis; for small-k dense checks."""
+        return np.kron(self.a, self.b)
 
 
-def _mode_matrices(defm: QDeformation) -> dict[str, np.ndarray]:
-    """Single-oscillator k x k matrices in the truncated Fock basis |0..k-1>.
+def _max_abs(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat), initial=0.0))
 
-    a_plus |n> = |n+1>            a_minus |n> = [n]_q |n-1>
-    b_plus |n> = [n+1]_q |n+1>    b_minus |n> = |n-1>
+
+def _kron_distance(x: KronPair, y: KronPair) -> float:
+    """Upper bound on max|x.a (x) x.b - y.a (x) y.b| from the factors alone.
+
+    From A (x) B - C (x) D = (A - C) (x) B + C (x) (B - D); it is zero
+    whenever both pairs of factors agree exactly.
     """
-    k = defm.k
-    a_plus = np.zeros((k, k), dtype=complex)
-    a_minus = np.zeros((k, k), dtype=complex)
-    b_plus = np.zeros((k, k), dtype=complex)
-    b_minus = np.zeros((k, k), dtype=complex)
-    for n in range(k - 1):
-        a_plus[n + 1, n] = 1.0
-        a_minus[n, n + 1] = defm.q_number(n + 1)
-        b_plus[n + 1, n] = defm.q_number(n + 1)
-        b_minus[n, n + 1] = 1.0
-    number = np.diag(np.arange(k)).astype(complex)
-    return {"a+": a_plus, "a-": a_minus, "b+": b_plus, "b-": b_minus, "n": number}
+    return _max_abs(x.a - y.a) * _max_abs(x.b) + _max_abs(y.a) * _max_abs(x.b - y.b)
 
 
 @dataclass(frozen=True, eq=False)
 class QuonRep:
-    """Both oscillators embedded on the product space F = F_a (x) F_b."""
+    """The pair's single-mode k x k matrices in the truncated Fock basis |0..k-1>.
+
+    a_plus |n> = |n+1>            a_minus |n> = [n]_q |n-1>
+    b_plus |n> = [n+1]_q |n+1>    b_minus |n> = |n-1>
+    number |n> = n |n>
+
+    On the product space F = F_a (x) F_b the a-mode operators act as
+    A (x) 1 and the b-mode operators as 1 (x) B. The arrays are read-only.
+    """
 
     k: int
     deformation: QDeformation
-    basis: tuple
-    a_plus: OperatorMatrix
-    a_minus: OperatorMatrix
-    b_plus: OperatorMatrix
-    b_minus: OperatorMatrix
-    number_a: OperatorMatrix
-    number_b: OperatorMatrix
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    b_plus: np.ndarray
+    b_minus: np.ndarray
+    number: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -212,27 +174,20 @@ class QuonRep:
 def build_rep(k: int) -> QuonRep:
     """Construct the two-oscillator representation for q = exp(2*pi*i/k)."""
     defm = QDeformation(k)
-    single = _mode_matrices(defm)
-    basis = fock_basis(k)
-    eye = np.eye(k, dtype=complex)
-
-    def embed_a(mat: np.ndarray) -> OperatorMatrix:
-        return OperatorMatrix(np.kron(mat, eye), basis)
-
-    def embed_b(mat: np.ndarray) -> OperatorMatrix:
-        return OperatorMatrix(np.kron(eye, mat), basis)
-
-    return QuonRep(
-        k=k,
-        deformation=defm,
-        basis=basis,
-        a_plus=embed_a(single["a+"]),
-        a_minus=embed_a(single["a-"]),
-        b_plus=embed_b(single["b+"]),
-        b_minus=embed_b(single["b-"]),
-        number_a=embed_a(single["n"]),
-        number_b=embed_b(single["n"]),
-    )
+    a_plus = np.zeros((k, k), dtype=complex)
+    a_minus = np.zeros((k, k), dtype=complex)
+    b_plus = np.zeros((k, k), dtype=complex)
+    b_minus = np.zeros((k, k), dtype=complex)
+    for n in range(k - 1):
+        a_plus[n + 1, n] = 1.0
+        a_minus[n, n + 1] = defm.q_number(n + 1)
+        b_plus[n + 1, n] = defm.q_number(n + 1)
+        b_minus[n, n + 1] = 1.0
+    number = np.diag(np.arange(k)).astype(complex)
+    for mat in (a_plus, a_minus, b_plus, b_minus, number):
+        mat.setflags(write=False)
+    return QuonRep(k=k, deformation=defm, a_plus=a_plus, a_minus=a_minus,
+                   b_plus=b_plus, b_minus=b_minus, number=number)
 
 
 def relation_residuals(rep: QuonRep) -> dict[str, float]:
@@ -240,29 +195,39 @@ def relation_residuals(rep: QuonRep) -> dict[str, float]:
 
     Keys cover the deformed commutators, the number-operator gradings,
     cross-mode commutativity and nilpotency of all four ladder operators.
-    The nilpotency entries are exact zeros: the k-th power of a strictly
-    triangular matrix vanishes structurally, with no rounding involved.
+    A relation within one mode has the form X (x) 1 (or 1 (x) X) for a
+    k x k combination X of that mode's matrices, and max|X (x) 1| =
+    max|X|, so it is checked on X. Cross-mode commutativity compares the
+    two orders of each a-mode/b-mode product, formed by the mixed-product
+    rule, through the factor bound of _kron_distance (exactly zero when the
+    two orders agree factor by factor). The nilpotency entries are exact
+    zeros: the k-th power of a strictly triangular matrix vanishes
+    structurally, with no rounding
+    involved.
     """
     q = rep.deformation.q
-    one = OperatorMatrix.identity(rep.basis)
-    out = {
-        "a_deformed": (rep.a_minus @ rep.a_plus - q * (rep.a_plus @ rep.a_minus) - one).max_abs(),
-        "b_deformed": (rep.b_minus @ rep.b_plus - q * (rep.b_plus @ rep.b_minus) - one).max_abs(),
-        "grading_a_plus": (rep.number_a.commutator(rep.a_plus) - rep.a_plus).max_abs(),
-        "grading_a_minus": (rep.number_a.commutator(rep.a_minus) + rep.a_minus).max_abs(),
-        "grading_b_plus": (rep.number_b.commutator(rep.b_plus) - rep.b_plus).max_abs(),
-        "grading_b_minus": (rep.number_b.commutator(rep.b_minus) + rep.b_minus).max_abs(),
-        "cross_commute": max(
-            a.commutator(b).max_abs()
-            for a in (rep.a_plus, rep.a_minus, rep.number_a)
-            for b in (rep.b_plus, rep.b_minus, rep.number_b)
-        ),
-        "a_plus_nilpotent": rep.a_plus.power(rep.k).max_abs(),
-        "a_minus_nilpotent": rep.a_minus.power(rep.k).max_abs(),
-        "b_plus_nilpotent": rep.b_plus.power(rep.k).max_abs(),
-        "b_minus_nilpotent": rep.b_minus.power(rep.k).max_abs(),
+    k = rep.k
+    one = np.eye(k)
+    ap, am, bp, bm, num = rep.a_plus, rep.a_minus, rep.b_plus, rep.b_minus, rep.number
+
+    def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x @ y - y @ x
+
+    a_mode = [KronPair(x, one) for x in (ap, am, num)]
+    b_mode = [KronPair(one, y) for y in (bp, bm, num)]
+    return {
+        "a_deformed": _max_abs(am @ ap - q * (ap @ am) - one),
+        "b_deformed": _max_abs(bm @ bp - q * (bp @ bm) - one),
+        "grading_a_plus": _max_abs(comm(num, ap) - ap),
+        "grading_a_minus": _max_abs(comm(num, am) + am),
+        "grading_b_plus": _max_abs(comm(num, bp) - bp),
+        "grading_b_minus": _max_abs(comm(num, bm) + bm),
+        "cross_commute": max(_kron_distance(x @ y, y @ x) for x in a_mode for y in b_mode),
+        "a_plus_nilpotent": _max_abs(np.linalg.matrix_power(ap, k)),
+        "a_minus_nilpotent": _max_abs(np.linalg.matrix_power(am, k)),
+        "b_plus_nilpotent": _max_abs(np.linalg.matrix_power(bp, k)),
+        "b_minus_nilpotent": _max_abs(np.linalg.matrix_power(bm, k)),
     }
-    return out
 
 
 def wrap_phase(k: int, r: float) -> float:
@@ -270,10 +235,13 @@ def wrap_phase(k: int, r: float) -> float:
     return 2.0 * math.pi * ((k - 1) / 2) * r
 
 
-def build_h(rep: QuonRep) -> OperatorMatrix:
-    """Hermitean polar factor H = sqrt(N_a (N_b + 1)); diagonal and >= 0."""
-    diag = [math.sqrt(lab.n_a * (lab.n_b + 1)) for lab in rep.basis]
-    return OperatorMatrix(np.diag(diag), rep.basis)
+def build_h(rep: QuonRep) -> np.ndarray:
+    """Hermitean polar factor H = sqrt(N_a (N_b + 1)) as its k x k diagonal grid.
+
+    Entry [n_a, n_b] >= 0 is the eigenvalue on |n_a, n_b>.
+    """
+    n = np.arange(rep.k)
+    return np.sqrt(np.outer(n, n + 1).astype(float))
 
 
 def half_angle_phase(phi: float) -> complex:
@@ -281,8 +249,8 @@ def half_angle_phase(phi: float) -> complex:
     return cmath.exp(0.5j * math.fmod(phi, 4.0 * math.pi))
 
 
-def build_ur(rep: QuonRep, phi_r: float) -> OperatorMatrix:
-    """Unitary polar factor U_r on the product space.
+def build_ur(rep: QuonRep, phi_r: float) -> KronPair:
+    """Unitary polar factor U_r on the product space, as its two factors.
 
     U_r = [a+ + e^{i phi_r/2} (a-)^(k-1) / [k-1]_q!]
         x [b- + e^{i phi_r/2} (b+)^(k-1) / [k-1]_q!]
@@ -294,22 +262,30 @@ def build_ur(rep: QuonRep, phi_r: float) -> OperatorMatrix:
     layer built on top.
     """
     k = rep.k
-    defm = rep.deformation
-    single = _mode_matrices(defm)
     half_wrap = half_angle_phase(phi_r)
-    qfact = defm.q_factorial(k - 1)
-
-    a_factor = single["a+"] + half_wrap * np.linalg.matrix_power(single["a-"], k - 1) / qfact
-    b_factor = single["b-"] + half_wrap * np.linalg.matrix_power(single["b+"], k - 1) / qfact
-    return OperatorMatrix(np.kron(a_factor, b_factor), rep.basis)
+    qfact = rep.deformation.q_factorial(k - 1)
+    a_factor = rep.a_plus + half_wrap * np.linalg.matrix_power(rep.a_minus, k - 1) / qfact
+    b_factor = rep.b_minus + half_wrap * np.linalg.matrix_power(rep.b_plus, k - 1) / qfact
+    return KronPair(a_factor, b_factor)
 
 
 def cyclicity_residual(rep: QuonRep, phi_r: float) -> float:
-    """Max-abs deviation of U_r^k from e^{i phi_r} times the identity."""
-    u = build_ur(rep, phi_r)
-    k = rep.k
-    target = half_angle_phase(phi_r) ** 2 * np.eye(rep.dim, dtype=complex)
-    return float(np.max(np.abs(np.linalg.matrix_power(u.entries, k) - target)))
+    """Max-abs deviation of U_r^k from e^{i phi_r} times the identity.
+
+    U_r^k = A^k (x) B^k. Its main-diagonal entries are A^k[i,i] B^k[j,j];
+    every other entry has an off-diagonal factor from A^k (with any entry
+    of B^k) or from B^k (with a diagonal entry of A^k). So the deviation
+    is the largest of three k x k quantities, and the k^2 x k^2 power is
+    never formed.
+    """
+    u_k = build_ur(rep, phi_r).power(rep.k)
+    wrap = half_angle_phase(phi_r) ** 2
+    diag_a, diag_b = np.diag(u_k.a), np.diag(u_k.b)
+    return max(
+        _max_abs(np.outer(diag_a, diag_b) - wrap),
+        _max_abs(u_k.a - np.diag(diag_a)) * _max_abs(u_k.b),
+        _max_abs(diag_a) * _max_abs(u_k.b - np.diag(diag_b)),
+    )
 
 
 def _unitary_power(mat: np.ndarray, n: int) -> np.ndarray:
@@ -319,23 +295,27 @@ def _unitary_power(mat: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.matrix_power(mat.conj().T, -n)
 
 
-def build_v(rep: QuonRep) -> OperatorMatrix:
-    """Diagonal unitary V = q^(N_a - N_b), with exact root-of-unity entries."""
-    diag = [rep.deformation.q_power(lab.n_a - lab.n_b) for lab in rep.basis]
-    return OperatorMatrix(np.diag(diag), rep.basis)
+def build_v(rep: QuonRep) -> np.ndarray:
+    """Diagonal unitary V = q^(N_a - N_b) as its k x k diagonal grid.
+
+    Entry [n_a, n_b] is q_power(n_a - n_b), an exact root of unity.
+    """
+    q_power = rep.deformation.q_power
+    return np.array([[q_power(n_a - n_b) for n_b in range(rep.k)] for n_a in range(rep.k)])
 
 
-def w_generator(rep: QuonRep, phi_r: float, m1: int, m2: int) -> OperatorMatrix:
-    """Lattice translation generator T_(m1,m2) = q^(m1 m2) U^m1 V^m2.
+def w_generator(rep: QuonRep, phi_r: float, m1: int, m2: int) -> np.ndarray:
+    """Lattice translation generator T_(m1,m2) = q^(m1 m2) U^m1 V^m2, dense.
 
     U is the unitary shift U_r and V = q^(N_a - N_b). These close the
     sine bracket [T_m, T_n] = -2i sin((2 pi/k) m x n) T_(m+n), where
-    m x n = m1 n2 - m2 n1, for any fixed winding angle phi_r.
+    m x n = m1 n2 - m2 n1, for any fixed winding angle phi_r. The result
+    is the k^2 x k^2 matrix, so this is meant for small k.
     """
-    u = build_ur(rep, phi_r).entries
-    v = build_v(rep).entries
+    u = build_ur(rep, phi_r).dense()
+    v = np.diag(build_v(rep).ravel())
     phase = rep.deformation.q_power(m1 * m2)
-    return OperatorMatrix(phase * (_unitary_power(u, m1) @ _unitary_power(v, m2)), rep.basis)
+    return phase * (_unitary_power(u, m1) @ _unitary_power(v, m2))
 
 
 def w_commutator_check(rep: QuonRep, phi_r: float, m: tuple[int, int],
@@ -348,4 +328,4 @@ def w_commutator_check(rep: QuonRep, phi_r: float, m: tuple[int, int],
     t_sum = w_generator(rep, phi_r, m1 + n1, m2 + n2)
     cross = (m1 * n2 - m2 * n1) % rep.k
     coeff = -2j * math.sin(2.0 * math.pi * cross / rep.k)
-    return (t_m.commutator(t_n) - coeff * t_sum).max_abs()
+    return _max_abs(t_m @ t_n - t_n @ t_m - coeff * t_sum)

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .halfint import HalfInt, is_valid_j, m_values
-from .quon import FockLabel, OperatorMatrix, QuonRep, build_h, build_ur, unit_phase, wrap_phase
+from .quon import FockLabel, KronPair, QuonRep, build_h, build_ur, unit_phase, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -204,33 +204,42 @@ def diagonal_multiplet_indices(k: int) -> list[int]:
     return [n_a * k + (k - 1 - n_a) for n_a in range(k)]
 
 
-def restrict_fock_operator(op: OperatorMatrix, k: int) -> tuple[np.ndarray, float]:
+def restrict_fock_operator(op: KronPair | np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """Cut the diagonal-multiplet block out of a product-space operator.
 
-    Returns the k x k block in the m-ascending basis together with the
-    leakage: the largest matrix element connecting the multiplet to its
-    complement. Operators that preserve the multiplet (H, U_r, anything
-    built from them) have leakage exactly zero.
+    op is a KronPair A (x) B of k x k factors or, for a diagonal operator,
+    the k x k grid of its diagonal. Returns the k x k block in the
+    m-ascending basis together with the leakage: the largest matrix element
+    connecting the multiplet to its complement. Both are read off the
+    factors by index; member n of the multiplet is |n, k-1-n>, so the block
+    entry [n, n'] is A[n, n'] B[k-1-n, k-1-n']. A diagonal operator has
+    leakage exactly zero, and so do H, U_r and anything built from them.
     """
-    if op.dim != k * k:
-        raise ValueError(f"operator dimension {op.dim} is not k^2 = {k * k}")
-    inside = diagonal_multiplet_indices(k)
-    outside = [i for i in range(k * k) if i not in set(inside)]
-    block = op.entries[np.ix_(inside, inside)].copy()
-    if outside:
-        col_leak = np.max(np.abs(op.entries[np.ix_(outside, inside)]))
-        row_leak = np.max(np.abs(op.entries[np.ix_(inside, outside)]))
-        leakage = float(max(col_leak, row_leak))
-    else:
-        leakage = 0.0
+    factors = (op.a, op.b) if isinstance(op, KronPair) else (op,)
+    for factor in factors:
+        if factor.shape != (k, k):
+            raise ValueError(f"operator factor of shape {factor.shape} is not {k} x {k}")
+    flip = np.arange(k)[::-1]
+    if not isinstance(op, KronPair):
+        return np.diag(op[np.arange(k), flip]), 0.0
+    a, b = factors
+    block = a * b[np.ix_(flip, flip)]
+    # off[x, y]: |x, y> lies off the multiplet, i.e. y != k-1-x
+    off = np.arange(k)[None, :] != flip[:, None]
+    # multiplet rows, other columns: [n, n', m'] = A[n, n'] B[k-1-n, m']
+    row_leak = np.abs(a[:, :, None] * b[flip][:, None, :])[:, off]
+    # multiplet columns, other rows: [n, m, n'] = A[n, n'] B[m, k-1-n']
+    col_leak = np.abs(a[:, None, :] * b[:, flip][None, :, :])[off]
+    leakage = float(max(np.max(row_leak, initial=0.0), np.max(col_leak, initial=0.0)))
     return block, leakage
 
 
 def quon_restriction_report(rep: QuonRep, r: float) -> ResidualReport:
     """Compare the closed-form F_j matrices with the oscillator construction.
 
-    Restricts H and U_r built on the full product space to the diagonal
-    multiplet and takes max-abs differences against build_spin_ops output.
+    Restricts H and U_r of the product space to the diagonal multiplet,
+    reading the block and the leakage off their k x k structure, and takes
+    max-abs differences against build_spin_ops output.
     """
     k = rep.k
     space = SpinSpace(j=HalfInt(k - 1), r=r)

@@ -130,10 +130,10 @@ class VerifyConfig:
 # quon suite
 
 def _w_infinity_residual(k: int) -> float:
-    """Worst sine-bracket residual over all m, n in [0, k-1]^2."""
+    """Worst sine-bracket residual over all m, n in [0, k-1]^2, on dense k^2 x k^2 matrices."""
     rep = build_rep(k)
-    u = build_ur(rep, 0.0).entries
-    v = build_v(rep).entries
+    u = build_ur(rep, 0.0).dense()
+    v = np.diag(build_v(rep).ravel())
     top = 2 * (k - 1)
     u_pow = [np.eye(rep.dim, dtype=complex)]
     v_pow = [np.eye(rep.dim, dtype=complex)]

@@ -175,8 +175,8 @@ def test_criterion_06_sine_algebra_structure_constants(announce):
     for k in range(2, 7):
         rep = build_rep(k)
         q_power = rep.deformation.q_power
-        u = build_ur(rep, 0.0).entries
-        v = build_v(rep).entries
+        u = build_ur(rep, 0.0).dense()
+        v = np.diag(build_v(rep).ravel())
         eye = np.eye(rep.dim, dtype=complex)
         u_pow, v_pow = [eye], [eye]
         for _ in range(2 * (k - 1)):

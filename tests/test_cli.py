@@ -84,6 +84,22 @@ class TestParsers:
             parse_k_list("x")
         with pytest.raises(ConfigError):
             parse_k_list("")
+        with pytest.raises(ConfigError, match="empty"):
+            parse_k_list("5-3")
+
+    @pytest.mark.parametrize("text, bad", [
+        ("65", "65"), ("1", "1"), ("2-65", "65"), ("2-1000", "1000"), ("3,3", "3"),
+    ])
+    def test_bad_k_exits_two_naming_the_flag(self, capsys, text, bad):
+        # the bounds are checked before a span is expanded, so 2-1000 fails at once
+        assert run_main("verify", "--j-max", "1/2", "--k", text, "--r", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--k: {bad} " in captured.err
+
+    def test_parse_k_list_accepts_max_k(self):
+        assert parse_k_list("60-64") == (60, 61, 62, 63, 64)
+        assert parse_k_list("2-64") == tuple(range(2, 65))
 
     def test_parse_tol(self):
         assert parse_tol("1e-9") == 1e-9
@@ -326,6 +342,14 @@ class TestVerifyCommand:
         assert code == 1
         assert report["all_pass"] is False
         assert report["failed"] > 0
+
+    def test_k_up_to_max_k_passes(self, capsys):
+        code = run_main("verify", "--j-max", "1", "--k", "60-64")
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        report = json.loads(captured.out)
+        assert report["all_pass"] is True
+        assert report["config"]["k_values"] == [60, 61, 62, 63, 64]
 
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -9,7 +9,7 @@ import pytest
 from wigner_nonstd.quon import (
     MAX_K,
     FockLabel,
-    OperatorMatrix,
+    KronPair,
     QDeformation,
     build_h,
     build_rep,
@@ -17,6 +17,7 @@ from wigner_nonstd.quon import (
     build_v,
     cyclicity_residual,
     fock_basis,
+    half_angle_phase,
     relation_residuals,
     unit_phase,
     unit_phase_frac,
@@ -24,6 +25,7 @@ from wigner_nonstd.quon import (
     w_generator,
     wrap_phase,
 )
+from wigner_nonstd.su2gen import diagonal_multiplet_indices, restrict_fock_operator
 
 K_RANGE = range(2, 13)
 R_GRID = [0.0, 0.37, 1.0, 2.5]
@@ -119,93 +121,78 @@ class TestFockBasis:
         assert all(lab.index(3) == i for i, lab in enumerate(basis))
 
 
-class TestOperatorMatrix:
-    def setup_method(self):
-        self.basis = fock_basis(2)
+class TestKronPair:
+    def test_mixed_product_rule_matches_dense(self):
+        rng = np.random.default_rng(5)
+        x, y, z, w = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                      for _ in range(4))
+        p, r = KronPair(x, y), KronPair(z, w)
+        assert np.allclose(p.dense(), np.kron(x, y), rtol=0, atol=0)
+        assert np.allclose((p @ r).dense(), p.dense() @ r.dense(), rtol=0, atol=1e-13)
+        assert np.allclose(p.power(3).dense(), np.linalg.matrix_power(p.dense(), 3),
+                           rtol=0, atol=1e-12)
+        assert np.array_equal(p.power(0).dense(), np.eye(9))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OperatorMatrix(np.zeros((2, 3)), self.basis)
+            KronPair(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            OperatorMatrix(np.zeros((3, 3)), self.basis)
+            KronPair(np.eye(2), np.eye(3))
 
-    def test_entries_are_copied_and_frozen(self):
-        source = np.eye(4)
-        op = OperatorMatrix(source, self.basis)
-        source[0, 0] = 99.0
-        assert op.entries[0, 0] == 1.0
+    def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            op.entries[0, 0] = 5.0
+            KronPair(np.eye(2), np.eye(2)) @ KronPair(np.eye(3), np.eye(3))
 
-    def test_algebra(self):
-        a = OperatorMatrix(np.diag([1, 2, 3, 4]), self.basis)
-        b = OperatorMatrix(np.ones((4, 4)), self.basis)
-        assert np.allclose((a @ b).entries[1], 2.0)
-        assert np.allclose((a + b - b).entries, a.entries)
-        assert np.allclose((-a).entries, -a.entries)
-        assert np.allclose((2.0 * a).entries, (a * 2.0).entries)
-        assert a.commutator(a).max_abs() == 0.0
-        assert np.allclose(a.power(2).entries, np.diag([1, 4, 9, 16]))
 
-    def test_dagger(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 1] = 2j
-        op = OperatorMatrix(m, self.basis)
-        assert op.dagger().entries[1, 0] == -2j
-
-    def test_power_rejects_negative(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix.identity(self.basis).power(-1)
-
-    def test_basis_mismatch_rejected(self):
-        other = OperatorMatrix.identity(fock_basis(3))
-        with pytest.raises(ValueError):
-            OperatorMatrix.identity(self.basis) @ other
-
-    def test_identity_and_max_abs(self):
-        eye = OperatorMatrix.identity(self.basis)
-        assert eye.dim == 4
-        assert eye.max_abs() == 1.0
+def product_entry(op: KronPair, dst: FockLabel, src: FockLabel) -> complex:
+    """<dst| A (x) B |src> read off the factors."""
+    return op.a[dst.n_a, src.n_a] * op.b[dst.n_b, src.n_b]
 
 
 class TestRepresentation:
     def test_mode_actions_on_product_states(self):
         rep = build_rep(4)
-        k = 4
-        src = FockLabel(1, 2).index(k)
+        one = np.eye(4)
+        src = FockLabel(1, 2)
 
-        # a+ |1,2> = |2,2>
-        col = rep.a_plus.entries[:, src]
-        assert col[FockLabel(2, 2).index(k)] == 1.0
-        assert np.count_nonzero(col) == 1
+        # a+ |1,2> = |2,2>: the a factor moves n_a, the identity keeps n_b
+        assert rep.a_plus[2, 1] == 1.0
+        assert np.count_nonzero(rep.a_plus[:, 1]) == 1
+        assert product_entry(KronPair(rep.a_plus, one), FockLabel(2, 2), src) == 1.0
 
         # a- |1,2> = [1]_q |0,2>
-        col = rep.a_minus.entries[:, src]
-        assert abs(col[FockLabel(0, 2).index(k)] - 1.0) < 1e-15
+        assert abs(product_entry(KronPair(rep.a_minus, one), FockLabel(0, 2), src) - 1.0) < 1e-15
 
         # b+ |1,2> = [3]_q |1,3>
-        col = rep.b_plus.entries[:, src]
         q3 = rep.deformation.q_number(3)
-        assert abs(col[FockLabel(1, 3).index(k)] - q3) < 1e-15
+        assert abs(product_entry(KronPair(one, rep.b_plus), FockLabel(1, 3), src) - q3) < 1e-15
+        assert np.count_nonzero(rep.b_plus[:, 2]) == 1
 
         # b- |1,2> = |1,1>
-        col = rep.b_minus.entries[:, src]
-        assert col[FockLabel(1, 1).index(k)] == 1.0
+        assert product_entry(KronPair(one, rep.b_minus), FockLabel(1, 1), src) == 1.0
 
     def test_truncation_kills_top_and_bottom(self):
         rep = build_rep(3)
-        top = FockLabel(2, 2).index(3)
-        assert not rep.a_plus.entries[:, top].any()
-        assert not rep.b_plus.entries[:, top].any()
-        bottom = FockLabel(0, 0).index(3)
-        assert not rep.a_minus.entries[:, bottom].any()
-        assert not rep.b_minus.entries[:, bottom].any()
+        assert not rep.a_plus[:, 2].any()
+        assert not rep.b_plus[:, 2].any()
+        assert not rep.a_minus[:, 0].any()
+        assert not rep.b_minus[:, 0].any()
 
     def test_number_operators(self):
         rep = build_rep(3)
-        idx = FockLabel(2, 1).index(3)
-        assert rep.number_a.entries[idx, idx] == 2.0
-        assert rep.number_b.entries[idx, idx] == 1.0
+        assert np.array_equal(rep.number, np.diag([0.0, 1.0, 2.0]))
+        # N_a |2,1> = 2 |2,1> and N_b |2,1> = 1 |2,1>
+        one = np.eye(3)
+        lab = FockLabel(2, 1)
+        assert product_entry(KronPair(rep.number, one), lab, lab) == 2.0
+        assert product_entry(KronPair(one, rep.number), lab, lab) == 1.0
+
+    def test_mode_matrices_are_read_only(self):
+        rep = build_rep(3)
+        for mat in (rep.a_plus, rep.a_minus, rep.b_plus, rep.b_minus, rep.number):
+            assert mat.shape == (3, 3)
+            with pytest.raises(ValueError):
+                mat[0, 0] = 5.0
 
     def test_dim_and_j(self):
         rep = build_rep(5)
@@ -229,57 +216,54 @@ class TestPolarFactors:
         assert math.isclose(wrap_phase(4, 0.37), 2.0 * math.pi * 1.5 * 0.37)
 
     def test_h_is_diagonal_nonneg(self):
-        rep = build_rep(4)
-        h = build_h(rep)
-        assert np.allclose(h.entries, np.diag(np.diag(h.entries)))
-        diag = np.diag(h.entries).real
-        assert (diag >= 0).all()
-        idx = FockLabel(2, 1).index(4)
-        assert math.isclose(diag[idx], math.sqrt(2 * (1 + 1)))
+        # H is held as its diagonal: grid[n_a, n_b] is the eigenvalue on |n_a, n_b>
+        h = build_h(build_rep(4))
+        assert h.shape == (4, 4)
+        assert (h >= 0).all()
+        assert math.isclose(h[2, 1], math.sqrt(2 * (1 + 1)))
+        for n_a in range(4):
+            for n_b in range(4):
+                assert h[n_a, n_b] == math.sqrt(n_a * (n_b + 1))
 
     def test_h_annihilates_empty_a_mode(self):
-        rep = build_rep(4)
-        diag = np.diag(build_h(rep).entries)
-        for n_b in range(4):
-            assert diag[FockLabel(0, n_b).index(4)] == 0.0
+        h = build_h(build_rep(4))
+        assert not h[0].any()
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("r", R_GRID)
     def test_ur_interior_shift_coefficient_is_one(self, k, r):
-        u = build_ur(build_rep(k), wrap_phase(k, r)).entries
+        u = build_ur(build_rep(k), wrap_phase(k, r))
         for n_a in range(k - 1):
             for n_b in range(1, k):
-                src = FockLabel(n_a, n_b).index(k)
-                dst = FockLabel(n_a + 1, n_b - 1).index(k)
-                assert u[dst, src] == 1.0
+                src = FockLabel(n_a, n_b)
+                dst = FockLabel(n_a + 1, n_b - 1)
+                assert product_entry(u, dst, src) == 1.0
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("r", R_GRID)
     def test_ur_wraps_diagonal_top_state(self, k, r):
         # |k-1, 0> -> e^{i phi_r} |0, k-1> with phi_r = 2 pi (k-1) r / 2
-        u = build_ur(build_rep(k), wrap_phase(k, r)).entries
-        src = FockLabel(k - 1, 0).index(k)
-        dst = FockLabel(0, k - 1).index(k)
-        assert abs(u[dst, src] - unit_phase((k - 1) * r / 2.0)) < 1e-13
+        u = build_ur(build_rep(k), wrap_phase(k, r))
+        entry = product_entry(u, FockLabel(0, k - 1), FockLabel(k - 1, 0))
+        assert abs(entry - unit_phase((k - 1) * r / 2.0)) < 1e-13
 
     def test_ur_accepts_any_winding_angle(self):
         # the winding angle is a free parameter of the construction; no
         # relation to a rational multiple of 2 pi is assumed at this level
         k, phi = 3, 1.234
         rep = build_rep(k)
-        u = build_ur(rep, phi).entries
-        src = FockLabel(k - 1, 0).index(k)
-        dst = FockLabel(0, k - 1).index(k)
-        assert abs(u[dst, src] - cmath.exp(1j * phi)) < 1e-14
+        u = build_ur(rep, phi)
+        entry = product_entry(u, FockLabel(0, k - 1), FockLabel(k - 1, 0))
+        assert abs(entry - cmath.exp(1j * phi)) < 1e-14
         assert cyclicity_residual(rep, phi) < 1e-12
 
     @pytest.mark.parametrize("k", K_RANGE)
     @pytest.mark.parametrize("r", R_GRID)
     def test_ur_unitary(self, k, r):
-        rep = build_rep(k)
-        u = build_ur(rep, wrap_phase(k, r))
-        residual = (u.dagger() @ u - OperatorMatrix.identity(rep.basis)).max_abs()
-        assert residual < 1e-12
+        # A (x) B is unitary when both factors are: (A (x) B)^dag (A (x) B) = A^dag A (x) B^dag B
+        u = build_ur(build_rep(k), wrap_phase(k, r))
+        for factor in (u.a, u.b):
+            assert np.max(np.abs(factor.conj().T @ factor - np.eye(k))) < 1e-12
 
     @pytest.mark.parametrize("k", K_RANGE)
     @pytest.mark.parametrize("r", R_GRID)
@@ -291,29 +275,30 @@ class TestPolarFactors:
         # away from the wrap, matching a weighted shift.
         k, r = 5, 0.37
         rep = build_rep(k)
-        prod = (build_h(rep) @ build_ur(rep, wrap_phase(k, r))).entries
+        h = build_h(rep)
+        u = build_ur(rep, wrap_phase(k, r))
         for n_a in range(k - 1):
             for n_b in range(1, k):
-                src = FockLabel(n_a, n_b).index(k)
-                dst = FockLabel(n_a + 1, n_b - 1).index(k)
-                assert math.isclose(prod[dst, src].real, math.sqrt((n_a + 1) * n_b),
-                                    abs_tol=1e-13)
-                assert abs(prod[dst, src].imag) < 1e-13
+                dst = FockLabel(n_a + 1, n_b - 1)
+                entry = h[dst.n_a, dst.n_b] * product_entry(u, dst, FockLabel(n_a, n_b))
+                assert math.isclose(entry.real, math.sqrt((n_a + 1) * n_b), abs_tol=1e-13)
+                assert abs(entry.imag) < 1e-13
 
 
 class TestSineAlgebra:
     def test_v_is_exact_diagonal_root_of_unity(self):
         rep = build_rep(5)
         v = build_v(rep)
-        for i, lab in enumerate(rep.basis):
-            assert v.entries[i, i] == rep.deformation.q_power(lab.n_a - lab.n_b)
-        vk = v.power(5)
-        assert (vk - OperatorMatrix.identity(rep.basis)).max_abs() < 1e-13
+        assert v.shape == (5, 5)
+        for n_a in range(5):
+            for n_b in range(5):
+                assert v[n_a, n_b] == rep.deformation.q_power(n_a - n_b)
+        assert np.max(np.abs(v ** 5 - 1.0)) < 1e-13
 
     def test_zero_label_is_identity(self):
         rep = build_rep(4)
         t00 = w_generator(rep, 0.0, 0, 0)
-        assert (t00 - OperatorMatrix.identity(rep.basis)).max_abs() < 1e-14
+        assert np.max(np.abs(t00 - np.eye(rep.dim))) < 1e-14
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_magnetic_translation_product_rule(self, k):
@@ -325,7 +310,7 @@ class TestSineAlgebra:
             t_m, t_n = w_generator(rep, 0.0, *m), w_generator(rep, 0.0, *n)
             t_sum = w_generator(rep, 0.0, m[0] + n[0], m[1] + n[1])
             cross = m[0] * n[1] - m[1] * n[0]
-            residual = (t_m @ t_n - defm.q_power(-cross) * t_sum).max_abs()
+            residual = np.max(np.abs(t_m @ t_n - defm.q_power(-cross) * t_sum))
             assert residual < 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -357,3 +342,90 @@ class TestSineAlgebra:
         rep = build_rep(4)
         assert w_commutator_check(rep, wrap_phase(4, 0.37), (-1, 2), (1, -1)) < 1e-11
         assert w_commutator_check(rep, wrap_phase(4, 2.5), (-2, -1), (3, 1)) < 1e-11
+
+
+class TestFactorizationOracle:
+    """Dense np.kron operators on the k^2-dim product space, checked against the factor path."""
+
+    @staticmethod
+    def dense_relation_residuals(rep) -> dict[str, float]:
+        one = np.eye(rep.k)
+        a_plus, a_minus, number_a = (np.kron(x, one) for x in (rep.a_plus, rep.a_minus, rep.number))
+        b_plus, b_minus, number_b = (np.kron(one, x) for x in (rep.b_plus, rep.b_minus, rep.number))
+        eye = np.eye(rep.dim)
+        q = rep.deformation.q
+
+        def max_abs(x):
+            return float(np.max(np.abs(x)))
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        def nil(x):
+            return max_abs(np.linalg.matrix_power(x, rep.k))
+
+        return {
+            "a_deformed": max_abs(a_minus @ a_plus - q * (a_plus @ a_minus) - eye),
+            "b_deformed": max_abs(b_minus @ b_plus - q * (b_plus @ b_minus) - eye),
+            "grading_a_plus": max_abs(comm(number_a, a_plus) - a_plus),
+            "grading_a_minus": max_abs(comm(number_a, a_minus) + a_minus),
+            "grading_b_plus": max_abs(comm(number_b, b_plus) - b_plus),
+            "grading_b_minus": max_abs(comm(number_b, b_minus) + b_minus),
+            "cross_commute": max(max_abs(comm(a, b))
+                                 for a in (a_plus, a_minus, number_a)
+                                 for b in (b_plus, b_minus, number_b)),
+            "a_plus_nilpotent": nil(a_plus),
+            "a_minus_nilpotent": nil(a_minus),
+            "b_plus_nilpotent": nil(b_plus),
+            "b_minus_nilpotent": nil(b_minus),
+        }
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_relations_match_dense(self, k):
+        rep = build_rep(k)
+        factor = relation_residuals(rep)
+        dense = self.dense_relation_residuals(rep)
+        assert set(factor) == set(dense)
+        for key, value in dense.items():
+            assert abs(factor[key] - value) <= 1e-15, key
+            if key.endswith("nilpotent"):
+                assert factor[key] == value == 0.0, key
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("r", R_GRID)
+    def test_cyclicity_matches_dense(self, k, r):
+        rep = build_rep(k)
+        phi = wrap_phase(k, r)
+        u = build_ur(rep, phi).dense()
+        target = half_angle_phase(phi) ** 2 * np.eye(rep.dim)
+        dense = float(np.max(np.abs(np.linalg.matrix_power(u, k) - target)))
+        assert abs(cyclicity_residual(rep, phi) - dense) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("r", R_GRID)
+    def test_diagonal_block_matches_dense(self, k, r):
+        rep = build_rep(k)
+        inside = diagonal_multiplet_indices(k)
+        outside = [i for i in range(k * k) if i not in inside]
+        h = build_h(rep)
+        u = build_ur(rep, wrap_phase(k, r))
+        for op, dense in ((h, np.diag(h.ravel())), (u, u.dense())):
+            block, leakage = restrict_fock_operator(op, k)
+            assert np.array_equal(block, dense[np.ix_(inside, inside)])
+            dense_leak = max(np.max(np.abs(dense[np.ix_(outside, inside)])),
+                             np.max(np.abs(dense[np.ix_(inside, outside)])))
+            assert leakage == dense_leak == 0.0
+
+
+class TestMaxK:
+    @pytest.mark.parametrize("k", [32, 48, MAX_K])
+    @pytest.mark.parametrize("r", [0.0, 0.37, 2.5])
+    def test_relations_and_cyclicity_at_large_k(self, k, r):
+        rep = build_rep(k)
+        res = relation_residuals(rep)
+        for name, value in res.items():
+            if name.endswith("nilpotent"):
+                assert value == 0.0, name
+            else:
+                assert value <= 1e-12, name
+        assert cyclicity_residual(rep, wrap_phase(k, r)) <= 1e-10

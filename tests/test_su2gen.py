@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wigner_nonstd.halfint import HalfInt
-from wigner_nonstd.quon import FockLabel, build_rep
+from wigner_nonstd.quon import FockLabel, KronPair, build_h, build_rep, build_ur
 from wigner_nonstd.su2gen import (
     ResidualReport,
     SpinSpace,
@@ -214,8 +214,29 @@ class TestQuonRestriction:
 
     def test_restrict_rejects_wrong_dimension(self):
         rep = build_rep(3)
-        with pytest.raises(ValueError):
-            restrict_fock_operator(rep.a_plus, 4)
+        with pytest.raises(ValueError, match="not 4 x 4"):
+            restrict_fock_operator(build_ur(rep, 0.0), 4)
+        with pytest.raises(ValueError, match="not 4 x 4"):
+            restrict_fock_operator(build_h(rep), 4)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_restrict_reads_any_kron_pair_like_the_dense_matrix(self, k):
+        rng = np.random.default_rng(k)
+        a, b = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for _ in range(2))
+        dense = np.kron(a, b)
+        inside = diagonal_multiplet_indices(k)
+        outside = [i for i in range(k * k) if i not in inside]
+        block, leakage = restrict_fock_operator(KronPair(a, b), k)
+        assert np.array_equal(block, dense[np.ix_(inside, inside)])
+        assert leakage == max(np.max(np.abs(dense[np.ix_(outside, inside)])),
+                              np.max(np.abs(dense[np.ix_(inside, outside)])))
+
+    def test_restrict_sees_a_mode_leak(self):
+        # a+ (x) 1 raises n_a + n_b by one, so it maps the multiplet entirely outside
+        rep = build_rep(4)
+        block, leakage = restrict_fock_operator(KronPair(rep.a_plus, np.eye(4)), 4)
+        assert not block.any()
+        assert leakage == 1.0
 
     @pytest.mark.parametrize("k", range(2, 11))
     @pytest.mark.parametrize("r", [0.0, 0.37, 2.5])

@@ -1,0 +1,41 @@
+"""Tests for the verify suites' grid: which checks the default run emits."""
+
+import collections
+import hashlib
+import json
+
+from wigner_nonstd.verify import VerifyConfig, run_suites
+
+# The (check, parameters) rows of the default grid with k = 2..22, as the
+# benchmark's verify workload runs it. The digest is sha256 over the rows
+# serialised with json.dumps([name, parameters], sort_keys=True), sorted
+# and joined by newlines.
+DEFAULT_K22_ROWS = 1110
+DEFAULT_K22_DIGEST = "bbaa10f06bffd0a9fc3db11fdb9dfdd742e034cff6b45546b86c1d78c53c833b"
+DEFAULT_K22_COUNTS = {
+    "alpha.eigen": 104, "alpha.unitarity": 104,
+    "coupling.interchange": 64, "coupling.orthonormality": 64,
+    "coupling.orthonormality_random": 4,
+    "fbar.parity": 4, "fbar.symmetry": 4,
+    "quon.cyclicity": 84, "quon.nilpotency": 21, "quon.relations": 21, "quon.w_infinity": 5,
+    "recoupling.sixj": 2,
+    "spin.casimir": 104, "spin.commutators": 104, "spin.cyclicity": 104,
+    "spin.quon_restriction": 36, "spin.structure": 104, "spin.u_spectrum": 104,
+    "standard.cg_orthogonality": 1, "standard.sixj_symmetry": 1,
+    "standard.threejm_symmetry": 1,
+    "wigner_eckart.r_independent": 14, "wigner_eckart.residual": 56,
+}
+
+
+def test_default_grid_check_set_is_unchanged():
+    results = run_suites(VerifyConfig(k_values=tuple(range(2, 23))))
+    assert len(results) == DEFAULT_K22_ROWS
+    assert dict(collections.Counter(c.name for c in results)) == DEFAULT_K22_COUNTS
+    # w_infinity stays capped at k <= 6 and the oscillator restriction at k <= 10
+    assert {c.parameters["k"] for c in results if c.name == "quon.w_infinity"} == set(range(2, 7))
+    assert {c.parameters["k"] for c in results
+            if c.name == "spin.quon_restriction"} == set(range(2, 11))
+    rows = sorted(json.dumps([c.name, c.parameters], sort_keys=True) for c in results)
+    assert len(set(rows)) == DEFAULT_K22_ROWS
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DEFAULT_K22_DIGEST
+    assert all(c.passed for c in results)
