@@ -12,8 +12,8 @@ Complex numbers serialize as [re, im]; half-integers as reduced strings
 ("3/2", "2"); table rows are sorted numerically by label tuple, and equal
 tuples keep their input order. CSV output adds magnitude and phase
 columns. A config file in key = value form may supply any long flag's
-value; explicit flags win. Exit status: 0 success, 1 verification
-failure, 2 bad arguments.
+value; other keys are refused, and explicit flags win. Exit status: 0
+success, 1 verification failure, 2 bad arguments.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def parse_tol(text: str) -> float:
     return value
 
 
-def read_config_file(path: str) -> dict[str, str]:
+def read_config_file(path: str, keys: frozenset[str] | None = None) -> dict[str, str]:
+    """key = value lines of path; with keys given, any other key is refused."""
     out: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -126,8 +127,11 @@ def read_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if keys is not None and key not in keys:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                                      f"keys are the long flags: {', '.join(sorted(keys))}")
+                out[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return out
@@ -440,13 +444,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", help=f"comma list of k values in [2, {MAX_K}]; spans like 2-8 allowed")
     p.add_argument("--tol", help="override every per-check default tolerance")
     p.add_argument("--seed")
-    p.add_argument("--threads")
     return parser
+
+
+def config_keys(parser: argparse.ArgumentParser) -> frozenset[str]:
+    """Keys a config file may set: the long flags of every subcommand but --config."""
+    (subcommands,) = parser._subparsers._group_actions
+    return frozenset(flag[2:] for sub in subcommands.choices.values()
+                     for flag in sub._option_string_actions
+                     if flag.startswith("--")) - {"help", "config"}
 
 
 def make_config(args: argparse.Namespace) -> JobConfig:
     """Merge flags over config-file values over defaults."""
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = {}
+    if getattr(args, "config", None):
+        file_values = read_config_file(args.config, config_keys(build_parser()))
 
     def pick(flag: str, key: str | None = None) -> str | None:
         value = getattr(args, flag, None)
@@ -480,11 +493,6 @@ def make_config(args: argparse.Namespace) -> JobConfig:
             config.verify.seed = int(pick("seed"))
         except ValueError:
             raise ConfigError(f"cannot parse seed {pick('seed')!r}") from None
-    if pick("threads") is not None:
-        try:
-            config.verify.threads = max(1, int(pick("threads")))
-        except ValueError:
-            raise ConfigError(f"cannot parse threads {pick('threads')!r}") from None
     if pick("fmt", "format") is not None:
         config.fmt = pick("fmt", "format")
     if pick("output") is not None:

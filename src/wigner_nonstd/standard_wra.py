@@ -70,11 +70,11 @@ class ExactSqrtRational:
 
     @classmethod
     def zero(cls) -> "ExactSqrtRational":
-        return cls(0, Fraction(0))
+        return _ZERO
 
     @classmethod
     def one(cls) -> "ExactSqrtRational":
-        return cls(1, Fraction(1))
+        return _ONE
 
     @classmethod
     def from_sign(cls, exponent: int) -> "ExactSqrtRational":
@@ -141,6 +141,12 @@ class ExactSqrtRational:
         if root is not None:
             return f"{prefix}{root}"
         return f"{prefix}sqrt({self.magnitude_squared})"
+
+
+# The instance is frozen, so zero() and one() hand out one shared value each
+# instead of building and validating a new one per call.
+_ZERO = ExactSqrtRational(0, Fraction(0))
+_ONE = ExactSqrtRational(1, Fraction(1))
 
 
 class RadicalSum:
@@ -374,13 +380,8 @@ def metric_standard(j: HalfInt, m: HalfInt, mp: HalfInt) -> ExactSqrtRational:
 # ---------------------------------------------------------------------------
 # Float conveniences used by the non-standard layer and by tabulation.
 
-@lru_cache(maxsize=None)
-def _cg_float_twice(tj1, tj2, tm1, tm2, tj, tm) -> float:
-    return float(_cg_twice(tj1, tj2, tm1, tm2, tj, tm))
-
-
 def cg_float(j1: HalfInt, j2: HalfInt, m1: HalfInt, m2: HalfInt, j: HalfInt, m: HalfInt) -> float:
-    return _cg_float_twice(j1.twice, j2.twice, m1.twice, m2.twice, j.twice, m.twice)
+    return float(_cg_twice(j1.twice, j2.twice, m1.twice, m2.twice, j.twice, m.twice))
 
 
 @lru_cache(maxsize=None)
@@ -391,7 +392,7 @@ def _cg_tensor_twice(tj1: int, tj2: int, tj: int) -> np.ndarray:
         for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
             tm = tm1 + tm2
             if abs(tm) <= tj:
-                out[i1, i2, (tm + tj) // 2] = _cg_float_twice(tj1, tj2, tm1, tm2, tj, tm)
+                out[i1, i2, (tm + tj) // 2] = float(_cg_twice(tj1, tj2, tm1, tm2, tj, tm))
     out.setflags(write=False)
     return out
 

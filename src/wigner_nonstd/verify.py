@@ -3,18 +3,16 @@
 Each suite sweeps one family of identities over a configured grid and
 reduces every parameter point to a named residual. All checks are pure;
 the only state is the seeded generator used for random label sampling,
-whose seed is recorded in the report. Suites may run concurrently when
-threads > 1; results are sorted before reporting, so output is
-deterministic either way.
+whose seed is recorded in the report. The suites run in order in one
+thread: their time goes to Python under the GIL (Fraction arithmetic,
+small matrices), so threads would buy nothing. Results are sorted.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -98,14 +96,6 @@ class CheckResult:
         }
 
 
-def default_thread_count() -> int:
-    raw = os.environ.get("WIGNER_NONSTD_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class VerifyConfig:
     """Grid over which the suites run; tol, when set, overrides every default."""
@@ -115,7 +105,6 @@ class VerifyConfig:
     k_values: tuple[int, ...] = tuple(range(2, 13))
     tol: float | None = None
     seed: int = 20260823
-    threads: int = field(default_factory=default_thread_count)
 
     def tolerance(self, name: str) -> float:
         if self.tol is not None:
@@ -510,12 +499,7 @@ SUITES = (
 
 def run_suites(config: VerifyConfig) -> list[CheckResult]:
     """Run every suite and return results in a deterministic order."""
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(lambda suite: suite(config), SUITES))
-    else:
-        chunks = [suite(config) for suite in SUITES]
-    results = [item for chunk in chunks for item in chunk]
+    results = [item for suite in SUITES for item in suite(config)]
     results.sort(key=lambda c: (c.name, sorted((k, str(v)) for k, v in c.parameters.items())))
     return results
 
@@ -529,7 +513,6 @@ def report_dict(results: list[CheckResult], config: VerifyConfig) -> dict:
             "k_values": list(config.k_values),
             "tol_override": config.tol,
             "seed": config.seed,
-            "threads": config.threads,
         },
         "total": len(results),
         "failed": len(failed),

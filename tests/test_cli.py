@@ -1,6 +1,7 @@
 """Tests for the command-line interface: parsing, output formats, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from wigner_nonstd.cli import (
     read_config_file,
 )
 from wigner_nonstd.halfint import HalfInt
+from wigner_nonstd.verify import VerifyConfig
 
 
 def run_main(*argv):
@@ -327,13 +329,25 @@ class TestVerifyCommand:
 
     def test_report_echoes_configuration(self, capsys):
         run_main("verify", "--j-max", "1/2", "--k", "2", "--r", "0",
-                 "--tol", "1e-9", "--seed", "11", "--threads", "1")
+                 "--tol", "1e-9", "--seed", "11")
         report = json.loads(capsys.readouterr().out)
+        assert set(report["config"]) == {"j_max", "r_values", "k_values",
+                                         "tol_override", "seed"}
         assert report["config"]["seed"] == 11
-        assert report["config"]["threads"] == 1
         assert report["config"]["j_max"] == "1/2"
         assert report["config"]["r_values"] == [0.0]
         assert report["config"]["tol_override"] == 1e-9
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_main("verify", "--j-max", "1/2", "--k", "2", "--threads", "2")
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_verify_config_fields(self):
+        # the settable grid of the suites; a new knob must be added here on purpose
+        assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
+            "j_max", "r_values", "k_values", "tol", "seed"]
 
     def test_impossible_tolerance_exits_one(self, capsys):
         code = run_main("verify", "--j-max", "1", "--k", "2", "--r", "0.37",
@@ -399,6 +413,24 @@ class TestConfigFile:
         assert code == 0
         assert report["config"]["seed"] == 5
         assert report["config"]["j_max"] == "1"
+
+    def test_readme_sweep_file_serves_every_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("# sweep.cfg\nj-max = 3\nk = 2-6\nr = 0, 0.37, 1\nformat = csv\n")
+        assert run_main("tabulate-cg", "--config", str(cfg),
+                        "--j1", "1/2", "--j2", "1/2") == 0
+        assert capsys.readouterr().out.startswith("j1,j2,")
+
+    @pytest.mark.parametrize("line", ["j_max = 1", "threads = 2", "config = other.cfg",
+                                      "help = 1"])
+    def test_unknown_key_exits_two(self, capsys, tmp_path, line):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"k = 2\nr = 0\n{line}\n")
+        assert run_main("verify", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = line.partition("=")[0].strip()
+        assert f"{cfg}:3: unknown key {key!r}" in captured.err
 
 
 class TestOutputFiles:

@@ -52,6 +52,14 @@ class TestExactSqrtRational:
         assert ExactSqrtRational.zero().is_zero()
         assert float(ExactSqrtRational.one()) == 1.0
 
+    def test_zero_one_are_shared_and_equal_fresh_values(self):
+        assert ExactSqrtRational.zero() is ExactSqrtRational.zero()
+        assert ExactSqrtRational.one() is ExactSqrtRational.one()
+        assert ExactSqrtRational.zero() == ExactSqrtRational(0, Fraction(0))
+        assert ExactSqrtRational.one() == ExactSqrtRational(1, Fraction(1))
+        assert str(ExactSqrtRational.one()) == "1"
+        assert ExactSqrtRational.from_rational(0) is ExactSqrtRational.zero()
+
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError):
             ExactSqrtRational(2, Fraction(1))

@@ -3,8 +3,10 @@
 import collections
 import hashlib
 import json
+import threading
 
-from wigner_nonstd.verify import VerifyConfig, run_suites
+from wigner_nonstd import verify
+from wigner_nonstd.verify import CheckResult, VerifyConfig, run_suites
 
 # The (check, parameters) rows of the default grid with k = 2..22, as the
 # benchmark's verify workload runs it. The digest is sha256 over the rows
@@ -39,3 +41,18 @@ def test_default_grid_check_set_is_unchanged():
     assert len(set(rows)) == DEFAULT_K22_ROWS
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DEFAULT_K22_DIGEST
     assert all(c.passed for c in results)
+
+
+def test_suites_run_in_order_on_the_calling_thread(monkeypatch):
+    calls = []
+
+    def suite(name):
+        def run(config):
+            calls.append((name, threading.get_ident()))
+            return [CheckResult(f"{name}.check", {"k": 2}, 0.0, 1.0)]
+        return run
+
+    monkeypatch.setattr(verify, "SUITES", (suite("b"), suite("a"), suite("c")))
+    results = run_suites(VerifyConfig())
+    assert calls == [(name, threading.get_ident()) for name in "bac"]
+    assert [c.name for c in results] == ["a.check", "b.check", "c.check"]
