@@ -29,6 +29,7 @@ from .quon import (
     build_h,
     build_rep,
     build_ur,
+    w_algebra_residual,
     w_commutator_check,
     w_generator,
     wrap_phase,
@@ -112,6 +113,7 @@ __all__ = [
     "verify_eigenbasis",
     "verify_fbar_symmetry",
     "verify_su2",
+    "w_algebra_residual",
     "w_commutator_check",
     "w_generator",
     "wigner_eckart_check",

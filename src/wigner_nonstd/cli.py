@@ -107,18 +107,20 @@ def parse_k_list(text: str) -> tuple[int, ...]:
 
 
 def parse_tol(text: str) -> float:
+    """A positive, finite tolerance; inf would pass every check."""
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"cannot parse tolerance {text!r}") from None
-    if not value > 0:
-        raise ConfigError("tol must be positive")
+        raise ConfigError(f"--tol: cannot parse {text!r}") from None
+    if not 0 < value < math.inf:
+        raise ConfigError(f"--tol: {text!r} is not a positive finite number")
     return value
 
 
 def read_config_file(path: str, keys: frozenset[str] | None = None) -> dict[str, str]:
-    """key = value lines of path; with keys given, any other key is refused."""
+    """key = value lines of path; a repeated key, and with keys given any other key, is refused."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -131,7 +133,11 @@ def read_config_file(path: str, keys: frozenset[str] | None = None) -> dict[str,
                 if keys is not None and key not in keys:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
                                       f"keys are the long flags: {', '.join(sorted(keys))}")
+                if key in out:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is already set "
+                                      f"on line {first_line[key]}")
                 out[key] = value
+                first_line[key] = lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return out

@@ -74,13 +74,14 @@ def overlap(space: SpinSpace, m: HalfInt, label: AlphaLabel) -> complex:
 def basis_matrix(space: SpinSpace) -> np.ndarray:
     """Unitary M with M[m_index, s] = <j m | j alpha_s; r>.
 
-    Columns are the U_r eigenvectors over the m-ascending basis.
+    Columns are the U_r eigenvectors over the m-ascending basis. Entry
+    [i, s] is unit_phase(alpha_s * m_i / dim) / sqrt(dim), evaluated for
+    the whole array with the same float operations as that scalar path.
     """
     dim = space.dim
-    out = np.empty((dim, dim), dtype=complex)
-    for s, label in enumerate(alpha_labels(space)):
-        for i, m in enumerate(space.m_list):
-            out[i, s] = unit_phase(label.alpha * float(m) / dim)
+    m = np.array([float(x) for x in space.m_list])
+    alpha = -space.jr + np.arange(dim)       # AlphaLabel.alpha for s = 0..2j
+    out = np.exp(2j * np.pi * np.fmod(np.outer(m, alpha) / dim, 1.0))
     out /= math.sqrt(dim)
     out.setflags(write=False)
     return out

@@ -16,16 +16,20 @@ Product-space operators are kept in their k x k structure:
   entry [n_a, n_b] acting on |n_a, n_b>.
 
 The relation and cyclicity checks therefore cost O(k^3) time and O(k^2)
-memory. Only the sine-algebra generators are formed as dense k^2 x k^2
-matrices, for the small k at which that bracket is checked entrywise.
+memory. Only the sine-algebra generators T_(m1,m2) are formed as dense
+k^2 x k^2 matrices, for the small k at which that bracket is checked
+entrywise. One construction of T and one bracket formula serve the
+single-pair check (w_commutator_check) and the all-pairs sweep
+(w_algebra_residual); each call builds U_r and V once and each T once.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -304,28 +308,48 @@ def build_v(rep: QuonRep) -> np.ndarray:
     return np.array([[q_power(n_a - n_b) for n_b in range(rep.k)] for n_a in range(rep.k)])
 
 
-def w_generator(rep: QuonRep, phi_r: float, m1: int, m2: int) -> np.ndarray:
-    """Lattice translation generator T_(m1,m2) = q^(m1 m2) U^m1 V^m2, dense.
+def _generators(rep: QuonRep, phi_r: float):
+    """Label (m1, m2) -> dense T_(m1,m2) = q^(m1 m2) U^m1 V^m2, each formed once.
 
-    U is the unitary shift U_r and V = q^(N_a - N_b). These close the
-    sine bracket [T_m, T_n] = -2i sin((2 pi/k) m x n) T_(m+n), where
-    m x n = m1 n2 - m2 n1, for any fixed winding angle phi_r. The result
-    is the k^2 x k^2 matrix, so this is meant for small k.
+    U is the unitary shift U_r and V = q^(N_a - N_b), both built once here
+    as k^2 x k^2 matrices, so this is meant for small k.
     """
     u = build_ur(rep, phi_r).dense()
     v = np.diag(build_v(rep).ravel())
-    phase = rep.deformation.q_power(m1 * m2)
-    return phase * (_unitary_power(u, m1) @ _unitary_power(v, m2))
+
+    @cache
+    def generator(m: tuple[int, int]) -> np.ndarray:
+        m1, m2 = m
+        return rep.deformation.q_power(m1 * m2) * (_unitary_power(u, m1) @ _unitary_power(v, m2))
+
+    return generator
+
+
+def _bracket_residual(k: int, generator, m: tuple[int, int], n: tuple[int, int]) -> float:
+    """Max-abs residual of [T_m, T_n] = -2i sin((2 pi/k) m x n) T_(m+n).
+
+    Here m x n = m1 n2 - m2 n1; the bracket closes for any fixed winding
+    angle phi_r.
+    """
+    (m1, m2), (n1, n2) = m, n
+    coeff = -2j * math.sin(2.0 * math.pi * ((m1 * n2 - m2 * n1) % k) / k)
+    t_m, t_n = generator(m), generator(n)
+    return _max_abs(t_m @ t_n - t_n @ t_m - coeff * generator((m1 + n1, m2 + n2)))
+
+
+def w_generator(rep: QuonRep, phi_r: float, m1: int, m2: int) -> np.ndarray:
+    """Lattice translation generator T_(m1,m2) = q^(m1 m2) U^m1 V^m2, dense k^2 x k^2."""
+    return _generators(rep, phi_r)((m1, m2))
 
 
 def w_commutator_check(rep: QuonRep, phi_r: float, m: tuple[int, int],
                        n: tuple[int, int]) -> float:
     """Max-abs residual of the sine-algebra bracket for one pair of labels."""
-    m1, m2 = m
-    n1, n2 = n
-    t_m = w_generator(rep, phi_r, m1, m2)
-    t_n = w_generator(rep, phi_r, n1, n2)
-    t_sum = w_generator(rep, phi_r, m1 + n1, m2 + n2)
-    cross = (m1 * n2 - m2 * n1) % rep.k
-    coeff = -2j * math.sin(2.0 * math.pi * cross / rep.k)
-    return _max_abs(t_m @ t_n - t_n @ t_m - coeff * t_sum)
+    return _bracket_residual(rep.k, _generators(rep, phi_r), m, n)
+
+
+def w_algebra_residual(rep: QuonRep, phi_r: float) -> float:
+    """Worst sine-bracket residual over all label pairs m, n in [0, k-1]^2."""
+    generator = _generators(rep, phi_r)
+    labels = list(itertools.product(range(rep.k), repeat=2))
+    return max(_bracket_residual(rep.k, generator, m, n) for m in labels for n in labels)

@@ -1,17 +1,21 @@
 """Invariant suites behind the `verify` command.
 
-Each suite sweeps one family of identities over a configured grid and
-reduces every parameter point to a named residual. All checks are pure;
-the only state is the seeded generator used for random label sampling,
-whose seed is recorded in the report. The suites run in order in one
-thread: their time goes to Python under the GIL (Fraction arithmetic,
-small matrices), so threads would buy nothing. Results are sorted.
+Each suite sweeps one family of identities over a grid and reduces every
+parameter point to a named residual. A row is made only by
+VerifyConfig.check, which pairs the check's name with its tolerance. The
+j, r and k grids come from VerifyConfig; each suite's fixed cap on them
+is one module-level value (the *_MAX constants and RANDOM_SAMPLES
+below), and the report's cap strings are derived from those values. All
+checks are pure; the only state is the seeded generator used for random
+label sampling, whose seed is recorded in the report. The suites run in
+order in one thread: their time goes to Python under the GIL (Fraction
+arithmetic, small matrices), so threads would buy nothing. Results are
+sorted.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,14 +24,14 @@ import numpy as np
 from .halfint import HalfInt, coupled_j_values, m_values, triangle
 from .quon import (
     build_rep,
-    build_ur,
-    build_v,
     cyclicity_residual,
     relation_residuals,
+    w_algebra_residual,
     wrap_phase,
 )
-from .standard_wra import IncompatibleRadicalError, RadicalSum, cg, sixj, threejm
+from .standard_wra import RadicalSum, cg, sixj, threejm
 from .su2gen import (
+    SpinOperatorSet,
     SpinSpace,
     build_spin_ops,
     casimir_identities,
@@ -72,6 +76,18 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "standard.sixj_symmetry": 0.0,
 }
 
+# Fixed caps on each suite's grid, whatever j_max, k_values and r_values say.
+W_INFINITY_K_MAX = 6             # the sine bracket is checked on dense k^2 x k^2 matrices
+RESTRICTION_K_MAX = 10
+COUPLING_J_MAX = HalfInt(3)      # 3/2
+RANDOM_J_MAX = HalfInt(8)        # 4, for the seeded random coupling draws
+RANDOM_SAMPLES = 100
+FBAR_SUM_MAX = HalfInt(9)        # 9/2, on j1 + j2 + j3
+RECOUPLING_J_MAX = HalfInt(3)    # 3/2, on every argument of a recoupling path
+RECOUPLING_R_COUNT = 2           # recoupling runs on the first r values only
+WIGNER_ECKART_J_MAX = HalfInt(6)  # 3
+STANDARD_J_MAX = HalfInt(4)      # 2, on every argument of the exact symbols
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -106,46 +122,19 @@ class VerifyConfig:
     tol: float | None = None
     seed: int = 20260823
 
-    def tolerance(self, name: str) -> float:
-        if self.tol is not None:
-            return self.tol
-        return DEFAULT_TOLERANCES[name]
+    def check(self, name: str, parameters: dict, residual: float) -> CheckResult:
+        """The row of check name at one parameter point, under its tolerance."""
+        tolerance = DEFAULT_TOLERANCES[name] if self.tol is None else self.tol
+        return CheckResult(name, dict(parameters), residual, tolerance)
 
-    def j_sweep(self) -> list[HalfInt]:
-        return [HalfInt(t) for t in range(self.j_max.twice + 1)]
+
+def _spins(limit: HalfInt) -> list[HalfInt]:
+    """0, 1/2, 1, ..., limit."""
+    return [HalfInt(t) for t in range(limit.twice + 1)]
 
 
 # ---------------------------------------------------------------------------
 # quon suite
-
-def _w_infinity_residual(k: int) -> float:
-    """Worst sine-bracket residual over all m, n in [0, k-1]^2, on dense k^2 x k^2 matrices."""
-    rep = build_rep(k)
-    u = build_ur(rep, 0.0).dense()
-    v = np.diag(build_v(rep).ravel())
-    top = 2 * (k - 1)
-    u_pow = [np.eye(rep.dim, dtype=complex)]
-    v_pow = [np.eye(rep.dim, dtype=complex)]
-    for _ in range(top):
-        u_pow.append(u_pow[-1] @ u)
-        v_pow.append(v_pow[-1] @ v)
-    t = {
-        (m1, m2): rep.deformation.q_power(m1 * m2) * (u_pow[m1] @ v_pow[m2])
-        for m1 in range(top + 1)
-        for m2 in range(top + 1)
-    }
-    worst = 0.0
-    grid = list(itertools.product(range(k), repeat=2))
-    for m1, m2 in grid:
-        t_m = t[(m1, m2)]
-        for n1, n2 in grid:
-            cross = (m1 * n2 - m2 * n1) % k
-            coeff = -2j * math.sin(2.0 * math.pi * cross / k)
-            t_n = t[(n1, n2)]
-            res = t_m @ t_n - t_n @ t_m - coeff * t[(m1 + n1, m2 + n2)]
-            worst = max(worst, float(np.max(np.abs(res))))
-    return worst
-
 
 def quon_suite(config: VerifyConfig) -> list[CheckResult]:
     out = []
@@ -153,43 +142,31 @@ def quon_suite(config: VerifyConfig) -> list[CheckResult]:
         rep = build_rep(k)
         res = relation_residuals(rep)
         nil_keys = [key for key in res if key.endswith("nilpotent")]
-        out.append(CheckResult(
-            "quon.relations", {"k": k},
-            max(v for key, v in res.items() if key not in nil_keys),
-            config.tolerance("quon.relations")))
-        out.append(CheckResult(
-            "quon.nilpotency", {"k": k},
-            max(res[key] for key in nil_keys),
-            config.tolerance("quon.nilpotency")))
+        out.append(config.check("quon.relations", {"k": k},
+                                max(v for key, v in res.items() if key not in nil_keys)))
+        out.append(config.check("quon.nilpotency", {"k": k}, max(res[key] for key in nil_keys)))
         for r in config.r_values:
-            out.append(CheckResult(
-                "quon.cyclicity", {"k": k, "r": r},
-                cyclicity_residual(rep, wrap_phase(k, r)),
-                config.tolerance("quon.cyclicity")))
-    for k in config.k_values:
-        if k <= 6:
-            out.append(CheckResult(
-                "quon.w_infinity", {"k": k},
-                _w_infinity_residual(k),
-                config.tolerance("quon.w_infinity")))
+            out.append(config.check("quon.cyclicity", {"k": k, "r": r},
+                                    cyclicity_residual(rep, wrap_phase(k, r))))
+        if k <= W_INFINITY_K_MAX:
+            out.append(config.check("quon.w_infinity", {"k": k}, w_algebra_residual(rep, 0.0)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # spin suite
 
-def _spin_cyclicity_residual(space: SpinSpace) -> float:
-    ops = build_spin_ops(space)
+def _spin_cyclicity_residual(ops: SpinOperatorSet) -> float:
+    space = ops.space
     target = space.wrap_factor * np.eye(space.dim, dtype=complex)
     return float(np.max(np.abs(np.linalg.matrix_power(ops.u_r, space.dim) - target)))
 
 
-def _u_spectrum_residual(space: SpinSpace) -> float:
+def _u_spectrum_residual(ops: SpinOperatorSet) -> float:
     """Greedy multiset match of eigvals(U_r) against the predicted phases."""
-    ops = build_spin_ops(space)
     computed = list(np.linalg.eigvals(ops.u_r))
     worst = 0.0
-    for label in alpha_labels(space):
+    for label in alpha_labels(ops.space):
         gaps = [abs(value - label.eigenvalue) for value in computed]
         best = min(range(len(gaps)), key=gaps.__getitem__)
         worst = max(worst, gaps[best])
@@ -202,40 +179,24 @@ _COMMUTATOR_KEYS = ("comm_j3_jplus", "comm_j3_jminus", "comm_jplus_jminus")
 
 def spin_suite(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for j in config.j_sweep():
+    for j in _spins(config.j_max):
         for r in config.r_values:
-            space = SpinSpace(j, r)
-            ops = build_spin_ops(space)
+            ops = build_spin_ops(SpinSpace(j, r))
             su2_report = verify_su2(ops).residuals
-            jt = str(j)
-            out.append(CheckResult(
-                "spin.commutators", {"j": jt, "r": r},
-                max(su2_report[key] for key in _COMMUTATOR_KEYS),
-                config.tolerance("spin.commutators")))
-            out.append(CheckResult(
-                "spin.structure", {"j": jt, "r": r},
-                max(v for key, v in su2_report.items() if key not in _COMMUTATOR_KEYS),
-                config.tolerance("spin.structure")))
-            out.append(CheckResult(
-                "spin.casimir", {"j": jt, "r": r},
-                casimir_identities(ops).worst(),
-                config.tolerance("spin.casimir")))
-            out.append(CheckResult(
-                "spin.cyclicity", {"j": jt, "r": r},
-                _spin_cyclicity_residual(space),
-                config.tolerance("spin.cyclicity")))
-            out.append(CheckResult(
-                "spin.u_spectrum", {"j": jt, "r": r},
-                _u_spectrum_residual(space),
-                config.tolerance("spin.u_spectrum")))
+            point = {"j": str(j), "r": r}
+            out.append(config.check("spin.commutators", point,
+                                    max(su2_report[key] for key in _COMMUTATOR_KEYS)))
+            out.append(config.check("spin.structure", point, max(
+                v for key, v in su2_report.items() if key not in _COMMUTATOR_KEYS)))
+            out.append(config.check("spin.casimir", point, casimir_identities(ops).worst()))
+            out.append(config.check("spin.cyclicity", point, _spin_cyclicity_residual(ops)))
+            out.append(config.check("spin.u_spectrum", point, _u_spectrum_residual(ops)))
     for k in config.k_values:
-        if k <= 10:
+        if k <= RESTRICTION_K_MAX:
             rep = build_rep(k)
             for r in config.r_values:
-                out.append(CheckResult(
-                    "spin.quon_restriction", {"k": k, "r": r},
-                    quon_restriction_report(rep, r).worst(),
-                    config.tolerance("spin.quon_restriction")))
+                out.append(config.check("spin.quon_restriction", {"k": k, "r": r},
+                                        quon_restriction_report(rep, r).worst()))
     return out
 
 
@@ -244,18 +205,13 @@ def spin_suite(config: VerifyConfig) -> list[CheckResult]:
 
 def alpha_suite(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for j in config.j_sweep():
+    for j in _spins(config.j_max):
         for r in config.r_values:
             report = verify_eigenbasis(SpinSpace(j, r)).residuals
-            jt = str(j)
-            out.append(CheckResult(
-                "alpha.eigen", {"j": jt, "r": r},
-                max(report["u_eigen"], report["casimir_eigen"], report["diagonalized_u"]),
-                config.tolerance("alpha.eigen")))
-            out.append(CheckResult(
-                "alpha.unitarity", {"j": jt, "r": r},
-                report["overlap_unitary"],
-                config.tolerance("alpha.unitarity")))
+            point = {"j": str(j), "r": r}
+            out.append(config.check("alpha.eigen", point, max(
+                report["u_eigen"], report["casimir_eigen"], report["diagonalized_u"])))
+            out.append(config.check("alpha.unitarity", point, report["overlap_unitary"]))
     return out
 
 
@@ -274,149 +230,129 @@ def _interchange_residual(j1: HalfInt, j2: HalfInt, r: float) -> float:
 
 def coupling_suite(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    small = [HalfInt(t) for t in range(4)]
     for r in config.r_values:
-        for j1, j2 in itertools.product(small, repeat=2):
-            out.append(CheckResult(
-                "coupling.orthonormality", {"j1": str(j1), "j2": str(j2), "r": r},
-                verify_cg_orthonormality(SpinSpace(j1, r), SpinSpace(j2, r)).worst(),
-                config.tolerance("coupling.orthonormality")))
-            out.append(CheckResult(
-                "coupling.interchange", {"j1": str(j1), "j2": str(j2), "r": r},
-                _interchange_residual(j1, j2, r),
-                config.tolerance("coupling.interchange")))
+        for j1, j2 in itertools.product(_spins(COUPLING_J_MAX), repeat=2):
+            point = {"j1": str(j1), "j2": str(j2), "r": r}
+            out.append(config.check("coupling.orthonormality", point, verify_cg_orthonormality(
+                SpinSpace(j1, r), SpinSpace(j2, r)).worst()))
+            out.append(config.check("coupling.interchange", point,
+                                    _interchange_residual(j1, j2, r)))
     rng = np.random.default_rng(config.seed)
-    samples = 100
     for r in config.r_values:
         worst = 0.0
-        for _ in range(samples):
-            j1 = HalfInt(int(rng.integers(0, 9)))
-            j2 = HalfInt(int(rng.integers(0, 9)))
+        for _ in range(RANDOM_SAMPLES):
+            j1 = HalfInt(int(rng.integers(0, RANDOM_J_MAX.twice + 1)))
+            j2 = HalfInt(int(rng.integers(0, RANDOM_J_MAX.twice + 1)))
             worst = max(worst, verify_cg_orthonormality(
                 SpinSpace(j1, r), SpinSpace(j2, r)).worst())
-        out.append(CheckResult(
-            "coupling.orthonormality_random",
-            {"samples": samples, "seed": config.seed, "j_max": "4", "r": r},
-            worst, config.tolerance("coupling.orthonormality_random")))
+        out.append(config.check("coupling.orthonormality_random", {
+            "samples": RANDOM_SAMPLES, "seed": config.seed, "j_max": str(RANDOM_J_MAX), "r": r,
+        }, worst))
     return out
 
 
 def fbar_suite(config: VerifyConfig) -> list[CheckResult]:
-    """Permutation/conjugation rules and realness parity, j1+j2+j3 <= 9/2."""
+    """Permutation/conjugation rules and realness parity, j1 + j2 + j3 <= FBAR_SUM_MAX."""
     out = []
-    triples = [
-        (t1, t2, t3)
-        for t1 in range(10) for t2 in range(10) for t3 in range(10)
-        if t1 + t2 + t3 <= 9
-    ]
+    triples = [js for js in itertools.product(_spins(FBAR_SUM_MAX), repeat=3)
+               if sum(j.twice for j in js) <= FBAR_SUM_MAX.twice]
     for r in config.r_values:
         worst_sym = 0.0
         worst_parity = 0.0
-        for t1, t2, t3 in triples:
-            spaces = (SpinSpace(HalfInt(t1), r), SpinSpace(HalfInt(t2), r),
-                      SpinSpace(HalfInt(t3), r))
+        for js in triples:
+            spaces = tuple(SpinSpace(j, r) for j in js)
             worst_sym = max(worst_sym, verify_fbar_symmetry(*spaces).worst())
             tensor = fbar_tensor(*spaces)
-            if ((t1 + t2 + t3) // 2) % 2 == 0:
-                worst_parity = max(worst_parity, float(np.max(np.abs(tensor.imag))))
-            else:
-                worst_parity = max(worst_parity, float(np.max(np.abs(tensor.real))))
-        out.append(CheckResult(
-            "fbar.symmetry", {"sum_max": "9/2", "r": r},
-            worst_sym, config.tolerance("fbar.symmetry")))
-        out.append(CheckResult(
-            "fbar.parity", {"sum_max": "9/2", "r": r},
-            worst_parity, config.tolerance("fbar.parity")))
+            # the symbol is real when j1 + j2 + j3 is even, imaginary when odd
+            stray = tensor.real if (sum(j.twice for j in js) // 2) % 2 else tensor.imag
+            worst_parity = max(worst_parity, float(np.max(np.abs(stray))))
+        point = {"sum_max": str(FBAR_SUM_MAX), "r": r}
+        out.append(config.check("fbar.symmetry", point, worst_sym))
+        out.append(config.check("fbar.parity", point, worst_parity))
     return out
 
 
 def _recoupling_paths(limit: HalfInt) -> list[tuple[HalfInt, ...]]:
     """All (j1, j2, j3, j12, j23, j) with every entry <= limit and triads valid."""
-    values = [HalfInt(t) for t in range(limit.twice + 1)]
+    def coupled(a: HalfInt, b: HalfInt) -> list[HalfInt]:
+        return [c for c in coupled_j_values(a, b) if c.twice <= limit.twice]
+
     paths = []
-    for j1, j2, j3 in itertools.product(values, repeat=3):
-        for j12 in coupled_j_values(j1, j2):
-            if j12.twice > limit.twice:
-                continue
-            for j23 in coupled_j_values(j2, j3):
-                if j23.twice > limit.twice:
-                    continue
-                for j in coupled_j_values(j12, j3):
-                    if j.twice > limit.twice or not triangle(j1, j23, j):
-                        continue
-                    paths.append((j1, j2, j3, j12, j23, j))
+    for j1, j2, j3 in itertools.product(_spins(limit), repeat=3):
+        for j12 in coupled(j1, j2):
+            for j23 in coupled(j2, j3):
+                for j in coupled(j12, j3):
+                    if triangle(j1, j23, j):
+                        paths.append((j1, j2, j3, j12, j23, j))
     return paths
 
 
 def recoupling_suite(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    paths = _recoupling_paths(HalfInt(3))
-    for r in config.r_values[:2]:
+    paths = _recoupling_paths(RECOUPLING_J_MAX)
+    for r in config.r_values[:RECOUPLING_R_COUNT]:
         worst = 0.0
         for j1, j2, j3, j12, j23, j in paths:
             report = recoupling_invariance_check(j1, j2, j3, j12, j23, j, r)
             worst = max(worst, report.worst())
-        out.append(CheckResult(
-            "recoupling.sixj", {"args_max": "3/2", "paths": len(paths), "r": r},
-            worst, config.tolerance("recoupling.sixj")))
+        out.append(config.check("recoupling.sixj", {
+            "args_max": str(RECOUPLING_J_MAX), "paths": len(paths), "r": r}, worst))
     return out
 
 
 def wigner_eckart_suite(config: VerifyConfig) -> list[CheckResult]:
     out = []
     reduced: dict[tuple[str, int], list[complex]] = {}
-    for t in range(7):
-        j = HalfInt(t)
+    for j in _spins(WIGNER_ECKART_J_MAX):
         for rank in (1, 2):
             for r in config.r_values:
                 ops = build_spin_ops(SpinSpace(j, r))
                 result = wigner_eckart_check(spherical_tensor_from_j(ops, rank))
-                out.append(CheckResult(
-                    "wigner_eckart.residual", {"j": str(j), "rank": rank, "r": r},
-                    result.residual, config.tolerance("wigner_eckart.residual")))
+                out.append(config.check("wigner_eckart.residual",
+                                        {"j": str(j), "rank": rank, "r": r}, result.residual))
                 reduced.setdefault((str(j), rank), []).append(result.reduced_element)
     for (jt, rank), values in sorted(reduced.items()):
         spread = max(abs(v - values[0]) for v in values)
-        out.append(CheckResult(
-            "wigner_eckart.r_independent", {"j": jt, "rank": rank},
-            spread, config.tolerance("wigner_eckart.r_independent")))
+        out.append(config.check("wigner_eckart.r_independent", {"j": jt, "rank": rank}, spread))
     return out
 
 
 # ---------------------------------------------------------------------------
 # standard-layer exactness suite (zero rational residue)
 
-def _exact_cg_orthogonality_violations(limit: HalfInt) -> int:
-    """Count label sets where either orthonormality relation has a residue."""
+def _residue_count(rows: list) -> int:
+    """Pairs of rows whose exact dot product is not delta (1 for a row with itself, else 0)."""
     bad = 0
-    values = [HalfInt(t) for t in range(limit.twice + 1)]
-    for j1, j2 in itertools.product(values, repeat=2):
-        pairs = [(m1, m2) for m1 in m_values(j1) for m2 in m_values(j2)]
+    for (i, a), (k, b) in itertools.product(enumerate(rows), repeat=2):
+        total = RadicalSum()
+        for x, y in zip(a, b):
+            total.add(x * y)
+        if i == k:
+            total.add_term(Fraction(-1), Fraction(1))
+        if not total.is_zero():
+            bad += 1
+    return bad
+
+
+def _exact_cg_orthogonality_violations(limit: HalfInt) -> int:
+    """Count label sets where either orthonormality relation has a residue.
+
+    The relations say the CG matrix, rows (m1, m2) and columns (j, m), has
+    orthonormal columns and orthonormal rows.
+    """
+    bad = 0
+    for j1, j2 in itertools.product(_spins(limit), repeat=2):
         coupled = [(j, m) for j in coupled_j_values(j1, j2) for m in m_values(j)]
-        for (j, m), (jp, mp) in itertools.product(coupled, repeat=2):
-            total = RadicalSum()
-            for m1, m2 in pairs:
-                total.add(cg(j1, j2, m1, m2, j, m) * cg(j1, j2, m1, m2, jp, mp))
-            if j == jp and m == mp:
-                total.add_term(Fraction(-1), Fraction(1))
-            if not total.is_zero():
-                bad += 1
-        for (m1, m2), (m1p, m2p) in itertools.product(pairs, repeat=2):
-            total = RadicalSum()
-            for j, m in coupled:
-                total.add(cg(j1, j2, m1, m2, j, m) * cg(j1, j2, m1p, m2p, j, m))
-            if m1 == m1p and m2 == m2p:
-                total.add_term(Fraction(-1), Fraction(1))
-            if not total.is_zero():
-                bad += 1
+        matrix = [[cg(j1, j2, m1, m2, j, m) for j, m in coupled]
+                  for m1 in m_values(j1) for m2 in m_values(j2)]
+        bad += _residue_count(list(zip(*matrix))) + _residue_count(matrix)
     return bad
 
 
 def _exact_threejm_symmetry_violations(limit: HalfInt) -> int:
     """Cyclic, odd-permutation and m-negation rules as exact equalities."""
     bad = 0
-    values = [HalfInt(t) for t in range(limit.twice + 1)]
-    for j1, j2, j3 in itertools.product(values, repeat=3):
+    for j1, j2, j3 in itertools.product(_spins(limit), repeat=3):
         if not triangle(j1, j2, j3):
             continue
         sign_exp = (j1.twice + j2.twice + j3.twice) // 2
@@ -427,16 +363,13 @@ def _exact_threejm_symmetry_violations(limit: HalfInt) -> int:
                     continue
                 base = threejm(j1, j2, j3, m1, m2, m3)
                 signed = -base if sign_exp % 2 else base
-                try:
-                    checks = (
-                        threejm(j2, j3, j1, m2, m3, m1) == base,
-                        threejm(j3, j1, j2, m3, m1, m2) == base,
-                        threejm(j2, j1, j3, m2, m1, m3) == signed,
-                        threejm(j1, j2, j3, -m1, -m2, -m3) == signed,
-                    )
-                    if not all(checks):
-                        bad += 1
-                except IncompatibleRadicalError:
+                checks = (
+                    threejm(j2, j3, j1, m2, m3, m1) == base,
+                    threejm(j3, j1, j2, m3, m1, m2) == base,
+                    threejm(j2, j1, j3, m2, m1, m3) == signed,
+                    threejm(j1, j2, j3, -m1, -m2, -m3) == signed,
+                )
+                if not all(checks):
                     bad += 1
     return bad
 
@@ -444,42 +377,31 @@ def _exact_threejm_symmetry_violations(limit: HalfInt) -> int:
 def _exact_sixj_symmetry_violations(limit: HalfInt) -> int:
     """Column permutations and row-pair swaps as exact equalities."""
     bad = 0
-    values = [HalfInt(t) for t in range(limit.twice + 1)]
-    for args in itertools.product(values, repeat=6):
+    for args in itertools.product(_spins(limit), repeat=6):
         j1, j2, j3, j4, j5, j6 = args
-        base = sixj(j1, j2, j3, j4, j5, j6)
+        base = sixj(*args)
         columns = ((j1, j4), (j2, j5), (j3, j6))
-        ok = True
-        for perm in itertools.permutations(range(3)):
-            top = [columns[p][0] for p in perm]
-            bottom = [columns[p][1] for p in perm]
-            if sixj(top[0], top[1], top[2], bottom[0], bottom[1], bottom[2]) != base:
-                ok = False
-        swaps = (
+        images = [tuple(columns[p][0] for p in perm) + tuple(columns[p][1] for p in perm)
+                  for perm in itertools.permutations(range(3))]
+        images += [
             (j4, j5, j3, j1, j2, j6),
             (j4, j2, j6, j1, j5, j3),
             (j1, j5, j6, j4, j2, j3),
-        )
-        for swapped in swaps:
-            if sixj(*swapped) != base:
-                ok = False
-        if not ok:
+        ]
+        if any(sixj(*image) != base for image in images):
             bad += 1
     return bad
 
 
 def standard_suite(config: VerifyConfig) -> list[CheckResult]:
-    limit = HalfInt(4)
+    point = {"args_max": str(STANDARD_J_MAX)}
     return [
-        CheckResult("standard.cg_orthogonality", {"args_max": "2"},
-                    float(_exact_cg_orthogonality_violations(limit)),
-                    config.tolerance("standard.cg_orthogonality")),
-        CheckResult("standard.threejm_symmetry", {"args_max": "2"},
-                    float(_exact_threejm_symmetry_violations(limit)),
-                    config.tolerance("standard.threejm_symmetry")),
-        CheckResult("standard.sixj_symmetry", {"args_max": "2"},
-                    float(_exact_sixj_symmetry_violations(limit)),
-                    config.tolerance("standard.sixj_symmetry")),
+        config.check(name, point, float(count(STANDARD_J_MAX)))
+        for name, count in (
+            ("standard.cg_orthogonality", _exact_cg_orthogonality_violations),
+            ("standard.threejm_symmetry", _exact_threejm_symmetry_violations),
+            ("standard.sixj_symmetry", _exact_sixj_symmetry_violations),
+        )
     ]
 
 

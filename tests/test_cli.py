@@ -111,6 +111,16 @@ class TestParsers:
             parse_tol("-1")
         with pytest.raises(ConfigError):
             parse_tol("soft")
+        # inf would pass every check, and 1e400 overflows to inf
+        for text in ("inf", "1e400", "nan"):
+            with pytest.raises(ConfigError, match="--tol"):
+                parse_tol(text)
+
+    def test_non_finite_tol_exits_two_naming_the_flag(self, capsys):
+        assert run_main("verify", "--j-max", "1/2", "--k", "2", "--tol", "1e400") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err and "'1e400'" in captured.err
 
     def test_read_config_file(self, tmp_path):
         cfg = tmp_path / "job.cfg"
@@ -431,6 +441,14 @@ class TestConfigFile:
         assert captured.out == ""
         key = line.partition("=")[0].strip()
         assert f"{cfg}:3: unknown key {key!r}" in captured.err
+
+    def test_duplicate_key_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("j1 = 1/2\nj2 = 1/2\nj1 = 1\n")
+        assert run_main("tabulate-cg", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cfg}:3: key 'j1' is already set on line 1" in captured.err
 
 
 class TestOutputFiles:

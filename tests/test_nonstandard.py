@@ -36,6 +36,7 @@ from wigner_nonstd.nonstandard import (
     verify_fbar_symmetry,
     wigner_eckart_check,
 )
+from wigner_nonstd.quon import unit_phase
 from wigner_nonstd.standard_wra import cg_float
 from wigner_nonstd.su2gen import SpinSpace, build_spin_ops
 
@@ -113,6 +114,16 @@ class TestBasisMatrix:
         for s, lab in enumerate(alpha_labels(sp)):
             for i, mm in enumerate(sp.m_list):
                 assert abs(m[i, s] - overlap(sp, mm, lab)) < 1e-15
+
+    @pytest.mark.parametrize("tj", [0, 1, 4, 17, 64])
+    @pytest.mark.parametrize("r", [0.37, -5 / 3, 1e6])
+    def test_matches_per_entry_loop_bit_for_bit(self, tj, r):
+        # reference: one unit_phase per entry, then one division of the array
+        sp = SpinSpace(H(tj), r)
+        ref = np.array([[unit_phase(lab.alpha * float(mm) / sp.dim) for lab in alpha_labels(sp)]
+                        for mm in sp.m_list])
+        ref /= math.sqrt(sp.dim)
+        assert basis_matrix(sp).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("tj", [0, 1, 2, 3, 7, 12, 25])
     @pytest.mark.parametrize("r", R_GRID)

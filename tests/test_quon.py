@@ -21,6 +21,7 @@ from wigner_nonstd.quon import (
     relation_residuals,
     unit_phase,
     unit_phase_frac,
+    w_algebra_residual,
     w_commutator_check,
     w_generator,
     wrap_phase,
@@ -336,6 +337,16 @@ class TestSineAlgebra:
             for m2 in range(k):
                 worst = max(worst, w_commutator_check(
                     rep, phi, (m1, m2), (1, k - 1)))
+        assert worst < 1e-10
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("r", [0.0, 0.37])
+    def test_all_pairs_sweep_is_the_worst_single_bracket(self, k, r):
+        rep = build_rep(k)
+        phi = wrap_phase(k, r)
+        labels = [(m1, m2) for m1 in range(k) for m2 in range(k)]
+        worst = max(w_commutator_check(rep, phi, m, n) for m in labels for n in labels)
+        assert w_algebra_residual(rep, phi) == worst
         assert worst < 1e-10
 
     def test_sine_bracket_negative_labels_and_nonzero_winding(self):

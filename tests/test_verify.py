@@ -6,7 +6,8 @@ import json
 import threading
 
 from wigner_nonstd import verify
-from wigner_nonstd.verify import CheckResult, VerifyConfig, run_suites
+from wigner_nonstd.halfint import HalfInt
+from wigner_nonstd.verify import DEFAULT_TOLERANCES, CheckResult, VerifyConfig, run_suites
 
 # The (check, parameters) rows of the default grid with k = 2..22, as the
 # benchmark's verify workload runs it. The digest is sha256 over the rows
@@ -56,3 +57,17 @@ def test_suites_run_in_order_on_the_calling_thread(monkeypatch):
     results = run_suites(VerifyConfig())
     assert calls == [(name, threading.get_ident()) for name in "bac"]
     assert [c.name for c in results] == ["a.check", "b.check", "c.check"]
+
+
+def test_every_row_carries_its_default_tolerance():
+    results = run_suites(VerifyConfig(k_values=tuple(range(2, 23))))
+    for c in results:
+        assert c.tolerance == DEFAULT_TOLERANCES[c.name], c.name
+    assert {c.name for c in results} == set(DEFAULT_TOLERANCES)
+
+
+def test_tol_overrides_every_tolerance():
+    config = VerifyConfig(j_max=HalfInt(1), r_values=(0.0, 0.37), k_values=(2, 3), tol=1e-3)
+    results = run_suites(config)
+    assert {c.name for c in results} == set(DEFAULT_TOLERANCES)
+    assert {c.tolerance for c in results} == {1e-3}
