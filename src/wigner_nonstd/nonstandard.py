@@ -37,6 +37,8 @@ class AlphaLabel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", float(self.r))
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be a finite number, got {self.r}")
         if not 0 <= self.s <= self.j.twice:
             raise ValueError(f"s must lie in [0, 2j] = [0, {self.j.twice}], got {self.s}")
 

@@ -4,6 +4,15 @@ Clebsch-Gordan coefficients and 3-jm / 6-j / 9-j symbols in the
 Condon-Shortley convention, evaluated with big-integer rational arithmetic.
 Every symbol is a signed square root of a rational number; conversion to
 float is the only lossy step, and happens only at the caller's request.
+
+The dense float tensors cg_tensor and threejm_tensor come from one integer
+Racah sum per triad (j1, j2, j), with the triad's factorials shared by
+every entry, and leave no per-coefficient cache entry behind. The
+per-entry functions (_cg_twice, cg, threejm, cg_float) are their oracle.
+Each tensor entry is sign * sqrt(num / den) with num / den the entry's
+exact square in integers; Python's int / int is correctly rounded, as
+Fraction.__float__ is, so the tensors equal the per-entry floats bit for
+bit.
 """
 
 from __future__ import annotations
@@ -384,15 +393,56 @@ def cg_float(j1: HalfInt, j2: HalfInt, m1: HalfInt, m2: HalfInt, j: HalfInt, m: 
     return float(_cg_twice(j1.twice, j2.twice, m1.twice, m2.twice, j.twice, m.twice))
 
 
+def _cg_triad_squares(tj1: int, tj2: int, tj: int):
+    """Yield (i1, i2, i, t, num, den) for every CG of one triad with a nonzero sum.
+
+    i1, i2, i index m1, m2, m ascending, and (j1 j2 m1 m2 | j m) equals
+    sign(t) * sqrt(num / den) exactly. It is Racah's sum of _cg_twice taken
+    in integers: with N_k = P / D_k over the common denominator
+    P = k_hi! (a-k_lo)! (j1-m1-k_lo)! (j2+m2-k_lo)! (x+k_hi)! (y+k_hi)!,
+    x = j-j2+m1 and y = j-j1-m2, each N_{k-1} follows from N_k by the exact
+    ratio k (x+k) (y+k) / ((a-k+1) (j1-m1-k+1) (j2+m2-k+1)). A non-triangle
+    triad yields nothing.
+    """
+    if not _triads_ok((tj1, tj2, tj)):
+        return
+    a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2, (-tj1 + tj2 + tj) // 2
+    # Every factorial below has an argument <= j1+j2+j+1, so this one call
+    # grows the table far enough and raises the MAX_FACTORIAL_ARG error once.
+    den_triad = _fact(a + b + c + 1)
+    f = _FACTORIALS
+    num_triad = (tj + 1) * f[a] * f[b] * f[c]
+    for i1 in range(tj1 + 1):
+        j1m_m1, j1p_m1 = tj1 - i1, i1   # j1-m1, j1+m1
+        x = b - j1m_m1                  # j-j2+m1
+        for i2 in range(max(0, a - i1), min(tj2, a - i1 + tj) + 1):
+            j2m_m2, j2p_m2 = tj2 - i2, i2
+            i = i1 + i2 - a             # index of m = m1+m2
+            y = c - j2p_m2              # j-j1-m2
+            k_lo = max(0, -x, -y)
+            k_hi = min(a, j1m_m1, j2p_m2)
+            n = (f[a - k_lo] // f[a - k_hi] * (f[j1m_m1 - k_lo] // f[j1m_m1 - k_hi])
+                 * (f[j2p_m2 - k_lo] // f[j2p_m2 - k_hi]))
+            t = 0
+            for k in range(k_hi, k_lo, -1):
+                t += -n if k % 2 else n
+                n = n * k * (x + k) * (y + k) // ((a - k + 1) * (j1m_m1 - k + 1) * (j2p_m2 - k + 1))
+            t += -n if k_lo % 2 else n
+            if t:
+                p = (f[k_hi] * f[a - k_lo] * f[j1m_m1 - k_lo] * f[j2p_m2 - k_lo]
+                     * f[x + k_hi] * f[y + k_hi])
+                num = num_triad * f[i] * f[tj - i] * f[j1m_m1] * f[j1p_m1] * f[j2m_m2] * f[j2p_m2]
+                yield i1, i2, i, t, num * t * t, den_triad * p * p
+
+
 @lru_cache(maxsize=None)
 def _cg_tensor_twice(tj1: int, tj2: int, tj: int) -> np.ndarray:
-    d1, d2, d = tj1 + 1, tj2 + 1, tj + 1
-    out = np.zeros((d1, d2, d))
-    for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
-        for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
-            tm = tm1 + tm2
-            if abs(tm) <= tj:
-                out[i1, i2, (tm + tj) // 2] = float(_cg_twice(tj1, tj2, tm1, tm2, tj, tm))
+    out = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
+    # int / int is correctly rounded, as Fraction.__float__ is, so each entry
+    # is bit-identical to float(_cg_twice(...)).
+    for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj):
+        root = math.sqrt(num / den)
+        out[i1, i2, i] = root if t > 0 else -root
     out.setflags(write=False)
     return out
 
@@ -406,15 +456,15 @@ def cg_tensor(j1: HalfInt, j2: HalfInt, j: HalfInt) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _threejm_tensor_twice(tj1: int, tj2: int, tj3: int) -> np.ndarray:
-    d1, d2, d3 = tj1 + 1, tj2 + 1, tj3 + 1
-    out = np.zeros((d1, d2, d3))
-    for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
-        for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
-            tm3 = -tm1 - tm2
-            if abs(tm3) <= tj3:
-                value = threejm(HalfInt(tj1), HalfInt(tj2), HalfInt(tj3),
-                                HalfInt(tm1), HalfInt(tm2), HalfInt(tm3))
-                out[i1, i2, (tm3 + tj3) // 2] = float(value)
+    out = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
+    # The CG entry at m = m1+m2 is the 3-jm entry at m3 = -m, index tj3 - i.
+    # 2j3+1 goes into the denominator before the one rounding division, as
+    # threejm folds it into the exact square, and (-1)^(j1-j2-m3) is
+    # (-1)^(j1-j2+m) with j1-j2+m = (tj1-tj2-tj3)/2 + i.
+    for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj3):
+        root = math.sqrt(num / (den * (tj3 + 1)))
+        odd_phase = ((tj1 - tj2 - tj3) // 2 + i) % 2 == 1
+        out[i1, i2, tj3 - i] = -root if (t < 0) != odd_phase else root
     out.setflags(write=False)
     return out
 

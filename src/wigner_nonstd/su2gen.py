@@ -36,6 +36,8 @@ class SpinSpace:
         if not is_valid_j(self.j):
             raise ValueError(f"j must be a non-negative half-integer, got {self.j}")
         object.__setattr__(self, "r", float(self.r))
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be a finite number, got {self.r}")
 
     @property
     def dim(self) -> int:

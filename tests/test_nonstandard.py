@@ -63,6 +63,11 @@ class TestAlphaLabel:
         with pytest.raises(ValueError):
             AlphaLabel(H(2), 0.0, -1)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be a finite number"):
+            AlphaLabel(H(2), r, 0)
+
     def test_eigenvalue_formula(self):
         lab = AlphaLabel(H(3), 0.37, 2)
         expected = cmath.exp(-2j * cmath.pi * lab.alpha / 4)

@@ -13,6 +13,7 @@ Coefficients are cross-checked along independent routes:
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from wigner_nonstd.standard_wra import (
     ExactSqrtRational,
     IncompatibleRadicalError,
     RadicalSum,
+    _cg_twice,
     _fact,
     cg,
     cg_float,
@@ -597,3 +599,66 @@ class TestTensors:
         a = threejm_tensor(H(2), H(2), H(2))
         b = threejm_tensor(H(2), H(2), H(2))
         assert a is b
+
+    @pytest.mark.parametrize("tj1", range(17))
+    def test_cg_tensor_is_the_per_entry_oracle_bit_for_bit(self, tj1):
+        for tj2 in range(17):
+            for tj in range(abs(tj1 - tj2), min(tj1 + tj2, 16) + 1, 2):
+                assert cg_tensor(H(tj1), H(tj2), H(tj)).tobytes() == cg_reference(tj1, tj2, tj).tobytes()
+
+    def test_cg_tensor_matches_oracle_on_seeded_triads_up_to_128(self):
+        rng = random.Random(20161)
+        triads = [(128, 6, 124), (3, 128, 127)]
+        for _ in range(4):
+            tj1, tj2 = rng.randint(64, 128), rng.randint(0, 20)
+            triads.append((tj1, tj2, rng.randrange(abs(tj1 - tj2), min(tj1 + tj2, 128) + 1, 2)))
+        for triad in triads:
+            tensor = cg_tensor(*(H(t) for t in triad))
+            assert tensor.tobytes() == cg_reference(*triad).tobytes(), triad
+
+    @pytest.mark.parametrize("tj1", range(11))
+    def test_threejm_tensor_is_the_per_entry_oracle_bit_for_bit(self, tj1):
+        # every label set with 2j <= 10, triangle or not, and either parity
+        for tj2 in range(11):
+            for tj3 in range(11):
+                tensor = threejm_tensor(H(tj1), H(tj2), H(tj3))
+                assert tensor.tobytes() == threejm_reference(tj1, tj2, tj3).tobytes()
+
+    def test_tensor_builds_add_no_per_coefficient_cache_entries(self):
+        before = _cg_twice.cache_info().currsize
+        cg_tensor(H(23), H(18), H(13))
+        threejm_tensor(H(21), H(18), H(13))
+        assert _cg_twice.cache_info().currsize == before
+
+    def test_factorial_guard_raises_once_per_triad(self):
+        # (j1+j2+j)+1 = 403 > MAX_FACTORIAL_ARG = 402
+        triad = (H(268), H(268), H(268))
+        with pytest.raises(ValueError) as cg_error:
+            cg_tensor(*triad)
+        with pytest.raises(ValueError) as threejm_error:
+            threejm_tensor(*triad)
+        assert str(cg_error.value) == str(threejm_error.value)
+        assert f"factorial argument {MAX_FACTORIAL_ARG + 1} exceeds" in str(cg_error.value)
+
+
+def cg_reference(tj1: int, tj2: int, tj: int) -> np.ndarray:
+    """cg_tensor entry by entry from the oracle _cg_twice."""
+    out = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
+    for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
+        for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
+            tm = tm1 + tm2
+            if abs(tm) <= tj:
+                out[i1, i2, (tm + tj) // 2] = float(_cg_twice(tj1, tj2, tm1, tm2, tj, tm))
+    return out
+
+
+def threejm_reference(tj1: int, tj2: int, tj3: int) -> np.ndarray:
+    """threejm_tensor entry by entry from the oracle threejm."""
+    out = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
+    for i1, m1 in enumerate(m_values(H(tj1))):
+        for i2, m2 in enumerate(m_values(H(tj2))):
+            tm3 = -m1.twice - m2.twice
+            if abs(tm3) <= tj3:
+                value = threejm(H(tj1), H(tj2), H(tj3), m1, m2, H(tm3))
+                out[i1, i2, (tm3 + tj3) // 2] = float(value)
+    return out

@@ -41,6 +41,11 @@ class TestSpinSpace:
     def test_r_coerced_to_float(self):
         assert SpinSpace(H(2), 1).r == 1.0
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be a finite number"):
+            SpinSpace(H(2), r)
+
     def test_wrap_factor(self):
         sp = SpinSpace(H(3), 0.37)
         expected = np.exp(2j * np.pi * 1.5 * 0.37)
