@@ -32,7 +32,6 @@ from .quon import (
     w_algebra_residual,
     w_commutator_check,
     w_generator,
-    wrap_phase,
 )
 from .su2gen import (
     ResidualReport,
@@ -117,5 +116,4 @@ __all__ = [
     "w_commutator_check",
     "w_generator",
     "wigner_eckart_check",
-    "wrap_phase",
 ]

@@ -46,13 +46,13 @@ class ConfigError(ValueError):
     """Bad flag/config-file input; maps to exit status 2."""
 
 
-def parse_half(text: str) -> HalfInt:
+def parse_half(text: str, flag: str = "--j") -> HalfInt:
     try:
         value = HalfInt.parse(text)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{flag}: {exc}") from None
     if value.twice < 0 or value.twice > MAX_TWICE_J:
-        raise ConfigError(f"j = {text} outside the supported range [0, {MAX_TWICE_J}/2]")
+        raise ConfigError(f"{flag}: j = {text} outside the supported range [0, {MAX_TWICE_J}/2]")
     return value
 
 
@@ -348,9 +348,13 @@ def _export_ops_csv(payload: dict) -> str:
 
 
 def write_output(text: str, path: str | None) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically (temp file, then rename); a device or FIFO is written in place."""
     if path is None:
         sys.stdout.write(text)
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wigner-nonstd-", suffix=".part")
@@ -474,16 +478,11 @@ def make_config(args: argparse.Namespace) -> JobConfig:
         return file_values.get(key or flag.replace("_", "-"))
 
     config = JobConfig(command=args.command)
-    if pick("j1") is not None:
-        config.j1 = parse_half(pick("j1"))
-    if pick("j2") is not None:
-        config.j2 = parse_half(pick("j2"))
-    if pick("j3") is not None:
-        config.j3 = parse_half(pick("j3"))
-    if pick("j") is not None:
-        config.j = parse_half(pick("j"))
+    for name in ("j1", "j2", "j3", "j"):
+        if pick(name) is not None:
+            setattr(config, name, parse_half(pick(name), f"--{name}"))
     if pick("labels") is not None:
-        config.sixj_labels = tuple(parse_half(x) for x in pick("labels").split(","))
+        config.sixj_labels = tuple(parse_half(x, "--labels") for x in pick("labels").split(","))
     if pick("symbol") is not None:
         config.symbol = pick("symbol")
     if pick("r") is not None:
@@ -491,18 +490,20 @@ def make_config(args: argparse.Namespace) -> JobConfig:
     if pick("k") is not None:
         config.verify.k_values = parse_k_list(pick("k"))
     if pick("j_max", "j-max") is not None:
-        config.verify.j_max = parse_half(pick("j_max", "j-max"))
+        config.verify.j_max = parse_half(pick("j_max", "j-max"), "--j-max")
     if pick("tol") is not None:
         config.verify.tol = parse_tol(pick("tol"))
     if pick("seed") is not None:
-        try:
-            config.verify.seed = int(pick("seed"))
-        except ValueError:
-            raise ConfigError(f"cannot parse seed {pick('seed')!r}") from None
+        if not pick("seed").strip().isdecimal():
+            raise ConfigError(f"--seed: cannot parse {pick('seed')!r} as a non-negative integer")
+        config.verify.seed = int(pick("seed"))
     if pick("fmt", "format") is not None:
         config.fmt = pick("fmt", "format")
     if pick("output") is not None:
         config.output = pick("output")
+        directory = os.path.dirname(os.path.abspath(config.output))
+        if os.path.isdir(config.output) or not os.path.isdir(directory):
+            raise ConfigError(f"--output: {config.output!r} is not a file in an existing directory")
     return config
 
 

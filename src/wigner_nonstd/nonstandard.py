@@ -10,21 +10,23 @@ scheme by the unitary change of basis; this module builds each of them
 and provides residual checks for the identities they must satisfy.
 
 All couplings require every participating space to share the same r;
-mixing winding parameters raises ValueError.
+mixing winding parameters raises ValueError. Phases are taken in turns,
+from the exact j*r of su2gen.winding_turns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .halfint import HalfInt, coupled_j_values, triangle
 from .quon import unit_phase
 from .standard_wra import cg_float, cg_tensor, sixj, threejm, threejm_tensor
-from .su2gen import ResidualReport, SpinOperatorSet, SpinSpace, build_spin_ops
+from .su2gen import ResidualReport, SpinOperatorSet, SpinSpace, build_spin_ops, winding_turns
 
 
 @dataclass(frozen=True)
@@ -44,17 +46,27 @@ class AlphaLabel:
 
     @property
     def alpha(self) -> float:
-        # same float product as SpinSpace.jr, so phases stay consistent
+        # the printed label; phases use the exact jr_turns instead
         return -(float(self.j) * self.r) + self.s
 
     @property
     def dim(self) -> int:
         return self.j.twice + 1
 
-    @property
+    @cached_property
+    def jr_turns(self) -> tuple[int, int]:
+        """j*r exactly, as (numerator, denominator)."""
+        return winding_turns(self.j, self.r)
+
+    @cached_property
     def eigenvalue(self) -> complex:
-        """U_r eigenvalue exp(-i alpha 2 pi/(2j+1))."""
-        return unit_phase(-self.alpha / self.dim)
+        """U_r eigenvalue exp(-i alpha 2 pi/(2j+1)): j r - s in units of 1/(2j+1) turns."""
+        return unit_phase(_jr_times(self.jr_turns, 1, self.dim) + -self.s % self.dim, self.dim)
+
+    def turns(self, twice_m: int) -> Fraction:
+        """alpha m/(2j+1) exactly: the phase of <j m | j alpha; r> in turns."""
+        numerator, denominator = self.jr_turns
+        return Fraction((self.s * denominator - numerator) * twice_m, 2 * denominator * self.dim)
 
     def __str__(self) -> str:
         return f"|{self.j},alpha={self.alpha:g};r={self.r:g}>"
@@ -65,26 +77,36 @@ def alpha_labels(space: SpinSpace) -> tuple[AlphaLabel, ...]:
     return tuple(AlphaLabel(space.j, space.r, s) for s in range(space.dim))
 
 
+def _jr_times(jr_turns: tuple[int, int], factor: int, modulus: int) -> float:
+    """factor * j r reduced mod modulus in integers, then rounded once to a float."""
+    numerator, denominator = jr_turns
+    return numerator * factor % (modulus * denominator) / denominator
+
+
 def overlap(space: SpinSpace, m: HalfInt, label: AlphaLabel) -> complex:
-    """<j m | j alpha; r> = exp(i alpha m 2 pi/(2j+1)) / sqrt(2j+1)."""
+    """<j m | j alpha; r> = exp(i alpha m 2 pi/(2j+1)) / sqrt(2j+1), as basis_matrix bit for bit.
+
+    In units of 1/(2(2j+1)) turns the phase is s 2m - j r 2m, each part reduced in integers.
+    """
     if label.j != space.j or label.r != space.r:
         raise ValueError("label does not belong to this space")
-    return unit_phase(label.alpha * float(m) / space.dim) / math.sqrt(space.dim)
+    dim = space.dim
+    turns = label.s * m.twice % (2 * dim) + _jr_times(space.jr_turns, -m.twice, 2 * dim)
+    return unit_phase(turns, 2 * dim) * (1.0 / math.sqrt(dim))
 
 
 @lru_cache(maxsize=None)
 def basis_matrix(space: SpinSpace) -> np.ndarray:
-    """Unitary M with M[m_index, s] = <j m | j alpha_s; r>.
+    """Unitary M with M[m_index, s] = <j m | j alpha_s; r>, each entry as overlap.
 
-    Columns are the U_r eigenvectors over the m-ascending basis. Entry
-    [i, s] is unit_phase(alpha_s * m_i / dim) / sqrt(dim), evaluated for
-    the whole array with the same float operations as that scalar path.
+    Columns are the U_r eigenvectors over the m-ascending basis. The part
+    s 2m of each phase is one int64 array, the r part one reduction per row.
     """
     dim = space.dim
-    m = np.array([float(x) for x in space.m_list])
-    alpha = -space.jr + np.arange(dim)       # AlphaLabel.alpha for s = 0..2j
-    out = np.exp(2j * np.pi * np.fmod(np.outer(m, alpha) / dim, 1.0))
-    out /= math.sqrt(dim)
+    twice_m = np.arange(-space.j.twice, space.j.twice + 1, 2)
+    winding = np.array([_jr_times(space.jr_turns, -tm, 2 * dim) for tm in twice_m.tolist()])
+    turns = twice_m[:, None] * np.arange(dim) % (2 * dim) + winding[:, None]
+    out = unit_phase(turns, 2 * dim) * (1.0 / math.sqrt(dim))
     out.setflags(write=False)
     return out
 
@@ -118,7 +140,8 @@ def verify_eigenbasis(space: SpinSpace) -> ResidualReport:
     """
     m = basis_matrix(space)
     ops = build_spin_ops(space)
-    lam = np.diag([label.eigenvalue for label in alpha_labels(space)])
+    s = np.arange(space.dim)  # lam[s, s] is bit for bit alpha_labels(space)[s].eigenvalue
+    lam = np.diag(unit_phase(_jr_times(space.jr_turns, 1, space.dim) + -s % space.dim, space.dim))
     eye = np.eye(space.dim)
     jf = float(space.j)
     u_defect = ops.u_r @ m - m @ lam
@@ -149,8 +172,6 @@ def cg_nonstandard(l1: AlphaLabel, l2: AlphaLabel, l: AlphaLabel) -> complex:
     """
     if l1.r != l2.r or l1.r != l.r:
         raise ValueError("all three labels must share the same winding parameter r")
-    d1, d2, d = l1.dim, l2.dim, l.dim
-    norm = math.sqrt(d1 * d2 * d)
     total = 0.0 + 0.0j
     for tm1 in range(-l1.j.twice, l1.j.twice + 1, 2):
         for tm2 in range(-l2.j.twice, l2.j.twice + 1, 2):
@@ -160,13 +181,9 @@ def cg_nonstandard(l1: AlphaLabel, l2: AlphaLabel, l: AlphaLabel) -> complex:
             c = cg_float(l1.j, l2.j, HalfInt(tm1), HalfInt(tm2), l.j, HalfInt(tm))
             if c == 0.0:
                 continue
-            phase = unit_phase(
-                l.alpha * (tm / 2) / d
-                - l1.alpha * (tm1 / 2) / d1
-                - l2.alpha * (tm2 / 2) / d2
-            )
-            total += phase * c
-    return total / norm
+            turns = l.turns(tm) - l1.turns(tm1) - l2.turns(tm2)
+            total += unit_phase(turns.numerator, turns.denominator) * c
+    return total / math.sqrt(l1.dim * l2.dim * l.dim)
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +232,6 @@ def fbar(l1: AlphaLabel, l2: AlphaLabel, l3: AlphaLabel) -> complex:
     """
     if l1.r != l2.r or l1.r != l3.r:
         raise ValueError("all three labels must share the same winding parameter r")
-    d1, d2, d3 = l1.dim, l2.dim, l3.dim
     total = 0.0 + 0.0j
     for tm1 in range(-l1.j.twice, l1.j.twice + 1, 2):
         for tm2 in range(-l2.j.twice, l2.j.twice + 1, 2):
@@ -226,13 +242,9 @@ def fbar(l1: AlphaLabel, l2: AlphaLabel, l3: AlphaLabel) -> complex:
                                   HalfInt(tm1), HalfInt(tm2), HalfInt(tm3)))
             if value == 0.0:
                 continue
-            phase = unit_phase(
-                -l1.alpha * (tm1 / 2) / d1
-                - l2.alpha * (tm2 / 2) / d2
-                - l3.alpha * (tm3 / 2) / d3
-            )
-            total += phase * value
-    return total / math.sqrt(d1 * d2 * d3)
+            turns = -l1.turns(tm1) - l2.turns(tm2) - l3.turns(tm3)
+            total += unit_phase(turns.numerator, turns.denominator) * value
+    return total / math.sqrt(l1.dim * l2.dim * l3.dim)
 
 
 @lru_cache(maxsize=None)

@@ -21,14 +21,15 @@ k^2 x k^2 matrices, for the small k at which that bracket is checked
 entrywise. One construction of T and one bracket formula serve the
 single-pair check (w_commutator_check) and the all-pairs sweep
 (w_algebra_residual); each call builds U_r and V once and each T once.
+Every phase in the package comes from unit_phase, in integer turns reduced
+exactly; the winding of U_r is passed in turns, phi_r/(2 pi).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property
 
 import numpy as np
@@ -36,18 +37,15 @@ import numpy as np
 MAX_K = 64
 
 
-def unit_phase(turns: float) -> complex:
-    """exp(2*pi*i*turns), with the argument reduced mod 1 first.
+def unit_phase(numerator, denominator: int) -> complex | np.ndarray:
+    """exp(2*pi*i*numerator/denominator), the one place a phase is computed.
 
-    The reduction keeps the phase accurate to ~1e-15 even when turns is
-    large, where direct evaluation of exp would lose precision.
+    numerator % denominator is taken before the one exp: exactly for an int
+    of any size. A numpy array of ints or floats (below 2^53) gives an array,
+    each element bit for bit the scalar call on it.
     """
-    return cmath.exp(2j * math.pi * math.fmod(turns, 1.0))
-
-
-def unit_phase_frac(numerator: int, denominator: int) -> complex:
-    """exp(2*pi*i*numerator/denominator) with exact integer reduction."""
-    return cmath.exp(2j * math.pi * ((numerator % denominator) / denominator))
+    phase = np.exp(2j * np.pi * (numerator % denominator / denominator))
+    return phase if isinstance(phase, np.ndarray) else complex(phase)
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,11 @@ class QDeformation:
 
     @cached_property
     def q(self) -> complex:
-        return unit_phase_frac(1, self.k)
+        return unit_phase(1, self.k)
 
     def q_power(self, exponent: int) -> complex:
         """q**exponent with the exponent reduced mod k (exact for multiples of k)."""
-        return unit_phase_frac(exponent, self.k)
+        return unit_phase(exponent, self.k)
 
     def q_number(self, n: int) -> complex:
         """[n]_q = (1 - q^n)/(1 - q). Exactly zero for n a multiple of k."""
@@ -234,11 +232,6 @@ def relation_residuals(rep: QuonRep) -> dict[str, float]:
     }
 
 
-def wrap_phase(k: int, r: float) -> float:
-    """Winding phase angle phi_r = 2*pi*j*r with j = (k-1)/2, as a float."""
-    return 2.0 * math.pi * ((k - 1) / 2) * r
-
-
 def build_h(rep: QuonRep) -> np.ndarray:
     """Hermitean polar factor H = sqrt(N_a (N_b + 1)) as its k x k diagonal grid.
 
@@ -248,12 +241,7 @@ def build_h(rep: QuonRep) -> np.ndarray:
     return np.sqrt(np.outer(n, n + 1).astype(float))
 
 
-def half_angle_phase(phi: float) -> complex:
-    """e^{i phi/2}, reduced modulo 4*pi first so large angles stay accurate."""
-    return cmath.exp(0.5j * math.fmod(phi, 4.0 * math.pi))
-
-
-def build_ur(rep: QuonRep, phi_r: float) -> KronPair:
+def build_ur(rep: QuonRep, turns: float | Fraction) -> KronPair:
     """Unitary polar factor U_r on the product space, as its two factors.
 
     U_r = [a+ + e^{i phi_r/2} (a-)^(k-1) / [k-1]_q!]
@@ -261,20 +249,20 @@ def build_ur(rep: QuonRep, phi_r: float) -> KronPair:
 
     The correction terms wrap the top of each truncated ladder back to the
     bottom, making each factor (and the product) unitary with U_r^k =
-    e^{i phi_r}. At this level phi_r is a free real angle; the winding
-    convention phi_r = 2*pi*j*r (see wrap_phase) is imposed by the spin
-    layer built on top.
+    e^{i phi_r}. The winding comes in turns, phi_r/(2 pi), as an int, float
+    or Fraction; it is free here, and the spin layer on top imposes
+    phi_r = 2 pi j r, i.e. (k-1) r / 2 turns.
     """
     k = rep.k
-    half_wrap = half_angle_phase(phi_r)
+    half_wrap = unit_phase(*(turns / 2).as_integer_ratio())
     qfact = rep.deformation.q_factorial(k - 1)
     a_factor = rep.a_plus + half_wrap * np.linalg.matrix_power(rep.a_minus, k - 1) / qfact
     b_factor = rep.b_minus + half_wrap * np.linalg.matrix_power(rep.b_plus, k - 1) / qfact
     return KronPair(a_factor, b_factor)
 
 
-def cyclicity_residual(rep: QuonRep, phi_r: float) -> float:
-    """Max-abs deviation of U_r^k from e^{i phi_r} times the identity.
+def cyclicity_residual(rep: QuonRep, turns: float | Fraction) -> float:
+    """Max-abs deviation of U_r^k from e^{i phi_r} times the identity; turns = phi_r/(2 pi).
 
     U_r^k = A^k (x) B^k. Its main-diagonal entries are A^k[i,i] B^k[j,j];
     every other entry has an off-diagonal factor from A^k (with any entry
@@ -282,8 +270,8 @@ def cyclicity_residual(rep: QuonRep, phi_r: float) -> float:
     is the largest of three k x k quantities, and the k^2 x k^2 power is
     never formed.
     """
-    u_k = build_ur(rep, phi_r).power(rep.k)
-    wrap = half_angle_phase(phi_r) ** 2
+    u_k = build_ur(rep, turns).power(rep.k)
+    wrap = unit_phase(*turns.as_integer_ratio())
     diag_a, diag_b = np.diag(u_k.a), np.diag(u_k.b)
     return max(
         _max_abs(np.outer(diag_a, diag_b) - wrap),
@@ -308,13 +296,13 @@ def build_v(rep: QuonRep) -> np.ndarray:
     return np.array([[q_power(n_a - n_b) for n_b in range(rep.k)] for n_a in range(rep.k)])
 
 
-def _generators(rep: QuonRep, phi_r: float):
+def _generators(rep: QuonRep, turns: float | Fraction):
     """Label (m1, m2) -> dense T_(m1,m2) = q^(m1 m2) U^m1 V^m2, each formed once.
 
     U is the unitary shift U_r and V = q^(N_a - N_b), both built once here
     as k^2 x k^2 matrices, so this is meant for small k.
     """
-    u = build_ur(rep, phi_r).dense()
+    u = build_ur(rep, turns).dense()
     v = np.diag(build_v(rep).ravel())
 
     @cache
@@ -325,31 +313,32 @@ def _generators(rep: QuonRep, phi_r: float):
     return generator
 
 
-def _bracket_residual(k: int, generator, m: tuple[int, int], n: tuple[int, int]) -> float:
+def _bracket_residual(defm: QDeformation, generator, m, n) -> float:
     """Max-abs residual of [T_m, T_n] = -2i sin((2 pi/k) m x n) T_(m+n).
 
-    Here m x n = m1 n2 - m2 n1; the bracket closes for any fixed winding
-    angle phi_r.
+    Here m x n = m1 n2 - m2 n1, and -2i sin((2 pi/k) x) = q^-x - q^x; the
+    bracket closes for any fixed winding.
     """
     (m1, m2), (n1, n2) = m, n
-    coeff = -2j * math.sin(2.0 * math.pi * ((m1 * n2 - m2 * n1) % k) / k)
+    cross = m1 * n2 - m2 * n1
+    coeff = defm.q_power(-cross) - defm.q_power(cross)
     t_m, t_n = generator(m), generator(n)
     return _max_abs(t_m @ t_n - t_n @ t_m - coeff * generator((m1 + n1, m2 + n2)))
 
 
-def w_generator(rep: QuonRep, phi_r: float, m1: int, m2: int) -> np.ndarray:
+def w_generator(rep: QuonRep, turns: float | Fraction, m1: int, m2: int) -> np.ndarray:
     """Lattice translation generator T_(m1,m2) = q^(m1 m2) U^m1 V^m2, dense k^2 x k^2."""
-    return _generators(rep, phi_r)((m1, m2))
+    return _generators(rep, turns)((m1, m2))
 
 
-def w_commutator_check(rep: QuonRep, phi_r: float, m: tuple[int, int],
+def w_commutator_check(rep: QuonRep, turns: float | Fraction, m: tuple[int, int],
                        n: tuple[int, int]) -> float:
     """Max-abs residual of the sine-algebra bracket for one pair of labels."""
-    return _bracket_residual(rep.k, _generators(rep, phi_r), m, n)
+    return _bracket_residual(rep.deformation, _generators(rep, turns), m, n)
 
 
-def w_algebra_residual(rep: QuonRep, phi_r: float) -> float:
+def w_algebra_residual(rep: QuonRep, turns: float | Fraction) -> float:
     """Worst sine-bracket residual over all label pairs m, n in [0, k-1]^2."""
-    generator = _generators(rep, phi_r)
+    generator = _generators(rep, turns)
     labels = list(itertools.product(range(rep.k), repeat=2))
-    return max(_bracket_residual(rep.k, generator, m, n) for m in labels for n in labels)
+    return max(_bracket_residual(rep.deformation, generator, m, n) for m in labels for n in labels)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .halfint import HalfInt, m_compatible, triangle
+from .halfint import HalfInt, m_compatible
 
 # Factorial table, grown on demand up to a configurable bound. The default
 # comfortably covers sums like j1+j2+j3+1 for 2j <= 200.
@@ -448,9 +448,7 @@ def _cg_tensor_twice(tj1: int, tj2: int, tj: int) -> np.ndarray:
 
 
 def cg_tensor(j1: HalfInt, j2: HalfInt, j: HalfInt) -> np.ndarray:
-    """Dense float array of (j1 j2 m1 m2 | j m), indices ascending in m."""
-    if not triangle(j1, j2, j):
-        return np.zeros((j1.twice + 1, j2.twice + 1, j.twice + 1))
+    """Dense float array of (j1 j2 m1 m2 | j m), indices ascending in m; read-only, cached."""
     return _cg_tensor_twice(j1.twice, j2.twice, j.twice)
 
 

@@ -7,18 +7,26 @@ non-negative and U_r a cyclic shift whose wrap picks up the winding phase
 e^{i phi_r}, phi_r = 2 pi j r. This module builds the (2j+1)-dimensional
 matrices directly from that closed form, for any half-integer j and any
 real winding parameter r, and checks the algebra they must satisfy.
+Every phase takes the winding as j*r turns held exactly (winding_turns).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .halfint import HalfInt, is_valid_j, m_values
-from .quon import FockLabel, KronPair, QuonRep, build_h, build_ur, unit_phase, wrap_phase
+from .quon import FockLabel, KronPair, QuonRep, build_h, build_ur, unit_phase
+
+
+def winding_turns(j: HalfInt, r: float) -> tuple[int, int]:
+    """j*r, the winding phi_r/(2 pi) in turns, exactly as (numerator, denominator)."""
+    numerator, denominator = r.as_integer_ratio()
+    return j.twice * numerator, 2 * denominator
 
 
 @dataclass(frozen=True)
@@ -47,20 +55,15 @@ class SpinSpace:
     def m_list(self) -> tuple[HalfInt, ...]:
         return tuple(m_values(self.j))
 
-    @property
-    def jr(self) -> float:
-        """The float product j*r; phases downstream must all use this value."""
-        return float(self.j) * self.r
-
-    @property
-    def phi_r(self) -> float:
-        """Winding angle phi_r = 2 pi j r in radians."""
-        return 2.0 * math.pi * self.jr
+    @cached_property
+    def jr_turns(self) -> tuple[int, int]:
+        """j*r exactly, as (numerator, denominator); every r-dependent phase starts here."""
+        return winding_turns(self.j, self.r)
 
     @property
     def wrap_factor(self) -> complex:
         """e^{i phi_r} with phi_r = 2 pi j r."""
-        return unit_phase(self.jr)
+        return unit_phase(*self.jr_turns)
 
     def m_index(self, m: HalfInt) -> int:
         return (m.twice + self.j.twice) // 2
@@ -248,7 +251,7 @@ def quon_restriction_report(rep: QuonRep, r: float) -> ResidualReport:
     ops = build_spin_ops(space)
 
     h_block, h_leak = restrict_fock_operator(build_h(rep), k)
-    u_block, u_leak = restrict_fock_operator(build_ur(rep, wrap_phase(k, r)), k)
+    u_block, u_leak = restrict_fock_operator(build_ur(rep, Fraction(*space.jr_turns)), k)
     res = {
         "h_matches": float(np.max(np.abs(h_block - ops.h))),
         "u_matches": float(np.max(np.abs(u_block - ops.u_r))),

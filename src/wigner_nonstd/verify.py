@@ -27,7 +27,6 @@ from .quon import (
     cyclicity_residual,
     relation_residuals,
     w_algebra_residual,
-    wrap_phase,
 )
 from .standard_wra import RadicalSum, cg, sixj, threejm
 from .su2gen import (
@@ -147,7 +146,7 @@ def quon_suite(config: VerifyConfig) -> list[CheckResult]:
         out.append(config.check("quon.nilpotency", {"k": k}, max(res[key] for key in nil_keys)))
         for r in config.r_values:
             out.append(config.check("quon.cyclicity", {"k": k, "r": r},
-                                    cyclicity_residual(rep, wrap_phase(k, r))))
+                                    cyclicity_residual(rep, Fraction(r) * (k - 1) / 2)))
         if k <= W_INFINITY_K_MAX:
             out.append(config.check("quon.w_infinity", {"k": k}, w_algebra_residual(rep, 0.0)))
     return out

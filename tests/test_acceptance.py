@@ -31,7 +31,6 @@ from wigner_nonstd.quon import (
     build_v,
     cyclicity_residual,
     relation_residuals,
-    wrap_phase,
 )
 from wigner_nonstd.standard_wra import (
     ExactSqrtRational,
@@ -94,7 +93,7 @@ def test_criterion_02_cyclicity(announce):
     for k in range(2, 13):
         rep = build_rep(k)
         for r in R_VALUES:
-            worst_fock = max(worst_fock, cyclicity_residual(rep, wrap_phase(k, r)))
+            worst_fock = max(worst_fock, cyclicity_residual(rep, Fraction(r) * (k - 1) / 2))
     worst_multiplet = 0.0
     for j in J_SWEEP:
         for r in R_VALUES:

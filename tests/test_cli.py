@@ -5,8 +5,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +52,31 @@ class TestParsers:
             parse_half("65")
         with pytest.raises(ConfigError):
             parse_half("x")
+
+    def test_parse_half_errors_name_the_flag(self, capsys):
+        with pytest.raises(ConfigError, match="^--j2: j = 65 outside"):
+            parse_half("65", "--j2")
+        assert run_main("verify", "--j-max", "300") == 2
+        assert "error: --j-max: j = 300 outside" in capsys.readouterr().err
+        assert run_main("tabulate-cg", "--j1", "1/2", "--j2", "x") == 2
+        assert "error: --j2: " in capsys.readouterr().err
+        assert run_main("tabulate-standard", "--symbol", "sixj", "--labels", "1,1,1,1,1,-1") == 2
+        assert "error: --labels: j = -1 outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "--seed: cannot parse '-1' as a non-negative integer"),
+        ("1.5", "--seed: cannot parse '1.5'"),
+        ("x", "--seed: cannot parse 'x'"),
+    ])
+    def test_bad_seed_exits_two_before_any_suite_runs(self, capsys, monkeypatch, seed, message):
+        def no_suites(config):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "run_suites", no_suites)
+        assert run_main("verify", "--j-max", "1/2", "--k", "2", "--seed", seed) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_parse_r_list(self):
         assert parse_r_list("0,0.37") == (0.0, 0.37)
@@ -461,6 +489,34 @@ class TestOutputFiles:
         assert len(payload["rows"]) == 16
         leftovers = [p for p in tmp_path.iterdir() if p.name != "table.json"]
         assert leftovers == []
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code = run_main("tabulate-standard", "--symbol", "sixj",
+                        "--labels", "1/2,1/2,1,1/2,1/2,1", "--output", str(fifo))
+        reader.join(timeout=60)
+        assert code == 0
+        assert json.loads(received[0])["rows"][0]["exact"] == "1/6"
+        # still the FIFO, and no temp file left beside it
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    @pytest.mark.parametrize("target", ["missing/table.json", "."])
+    def test_unwritable_output_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                         target):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli, "_build_table", no_table)
+        out = os.path.join(tmp_path, target)
+        assert run_main("tabulate-cg", "--j1", "1/2", "--j2", "1/2", "--output", out) == 2
+        assert f"error: --output: {out!r} is not a file in an existing directory" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_job_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "table.json"

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigner_nonstd.halfint import HalfInt, coupled_j_values
 from wigner_nonstd.nonstandard import (
@@ -36,9 +37,9 @@ from wigner_nonstd.nonstandard import (
     verify_fbar_symmetry,
     wigner_eckart_check,
 )
-from wigner_nonstd.quon import unit_phase
 from wigner_nonstd.standard_wra import cg_float
 from wigner_nonstd.su2gen import SpinSpace, build_spin_ops
+from wigner_nonstd.verify import DEFAULT_TOLERANCES
 
 H = HalfInt
 R_GRID = [0.0, 0.37, 1.0, 2.5]
@@ -114,21 +115,48 @@ class TestBasisMatrix:
         assert np.max(np.abs(m - expected)) < 1e-15
 
     def test_columns_match_overlap(self):
-        sp = SpinSpace(H(2), 0.37)
-        m = basis_matrix(sp)
-        for s, lab in enumerate(alpha_labels(sp)):
-            for i, mm in enumerate(sp.m_list):
-                assert abs(m[i, s] - overlap(sp, mm, lab)) < 1e-15
+        # 2j = 0..128 x nine r (1161 cases): every entry while 2j <= 16, above
+        # that 64 seeded entries and the four corners of each matrix
+        rng = np.random.default_rng(1161)
+        for tj in range(129):
+            for r in (0.0, 0.37, 1.0, 2.5, 1 / 4, -1.3, 1e6, -5 / 3, 123456789 / 7):
+                sp = SpinSpace(H(tj), r)
+                m, labels, dim = basis_matrix(sp), alpha_labels(sp), sp.dim
+                if tj <= 16:
+                    entries = [(i, s) for i in range(dim) for s in range(dim)]
+                else:
+                    entries = [tuple(x) for x in rng.integers(0, dim, size=(64, 2))]
+                    entries += [(0, 0), (0, dim - 1), (dim - 1, 0), (dim - 1, dim - 1)]
+                for i, s in entries:
+                    assert m[i, s] == overlap(sp, sp.m_list[i], labels[s]), (tj, r, i, s)
 
     @pytest.mark.parametrize("tj", [0, 1, 4, 17, 64])
     @pytest.mark.parametrize("r", [0.37, -5 / 3, 1e6])
     def test_matches_per_entry_loop_bit_for_bit(self, tj, r):
-        # reference: one unit_phase per entry, then one division of the array
+        # reference: the scalar overlap, one call per entry
         sp = SpinSpace(H(tj), r)
-        ref = np.array([[unit_phase(lab.alpha * float(mm) / sp.dim) for lab in alpha_labels(sp)]
-                        for mm in sp.m_list])
-        ref /= math.sqrt(sp.dim)
+        ref = np.array([[overlap(sp, mm, lab) for lab in alpha_labels(sp)] for mm in sp.m_list])
         assert basis_matrix(sp).tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 64), st.integers(-10**12, 10**12), st.integers(1, 10**6))
+    def test_overlap_equals_basis_matrix_at_rational_r(self, tj, p, q):
+        sp = SpinSpace(H(tj), p / q)
+        ref = np.array([[overlap(sp, mm, lab) for lab in alpha_labels(sp)] for mm in sp.m_list])
+        assert basis_matrix(sp).tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 64), st.integers(-10**12, 10**12), st.integers(1, 10**6))
+    def test_eigenbasis_within_default_tolerances_at_large_r(self, tj, p, q):
+        # the precision of every phase no longer falls with |r|
+        sp = SpinSpace(H(tj), p / q)
+        res = verify_eigenbasis(sp).residuals
+        assert max(res["u_eigen"], res["casimir_eigen"], res["diagonalized_u"]) \
+            <= DEFAULT_TOLERANCES["alpha.eigen"]
+        assert res["overlap_unitary"] <= DEFAULT_TOLERANCES["alpha.unitarity"]
+        diagonal = np.diag(to_nonstandard(sp, build_spin_ops(sp).u_r))
+        labels = np.array([lab.eigenvalue for lab in alpha_labels(sp)])
+        assert np.max(np.abs(labels - diagonal)) <= DEFAULT_TOLERANCES["alpha.eigen"]
 
     @pytest.mark.parametrize("tj", [0, 1, 2, 3, 7, 12, 25])
     @pytest.mark.parametrize("r", R_GRID)

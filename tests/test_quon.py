@@ -2,9 +2,11 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wigner_nonstd.quon import (
     MAX_K,
@@ -17,14 +19,11 @@ from wigner_nonstd.quon import (
     build_v,
     cyclicity_residual,
     fock_basis,
-    half_angle_phase,
     relation_residuals,
     unit_phase,
-    unit_phase_frac,
     w_algebra_residual,
     w_commutator_check,
     w_generator,
-    wrap_phase,
 )
 from wigner_nonstd.su2gen import diagonal_multiplet_indices, restrict_fock_operator
 
@@ -34,27 +33,49 @@ R_GRID = [0.0, 0.37, 1.0, 2.5]
 
 class TestUnitPhase:
     def test_basic_values(self):
-        assert unit_phase(0.0) == 1.0
-        assert abs(unit_phase(0.5) + 1.0) < 1e-15
-        assert abs(unit_phase(0.25) - 1j) < 1e-15
+        assert unit_phase(0, 1) == 1.0
+        assert abs(unit_phase(1, 2) + 1.0) < 1e-15
+        assert abs(unit_phase(1, 4) - 1j) < 1e-15
 
     def test_large_argument_stays_accurate(self):
-        # 1e9 + 0.25 is exactly representable; the mod-1 reduction must
-        # recover the quarter turn without magnitude-driven phase loss.
-        assert abs(unit_phase(1e9 + 0.25) - 1j) < 1e-12
+        # 10^9 + 1/4 turns: the integer reduction recovers the quarter turn
+        # exactly, with no phase loss that grows with the magnitude
+        assert unit_phase(4 * 10**9 + 1, 4) == unit_phase(1, 4)
+        assert unit_phase(4 * 10**30 + 1, 4) == unit_phase(1, 4)
 
     def test_negative_turns(self):
-        assert abs(unit_phase(-0.25) + 1j) < 1e-15
+        assert abs(unit_phase(-1, 4) + 1j) < 1e-15
 
     def test_frac_reduction_is_exact_at_full_turns(self):
-        assert unit_phase_frac(7, 7) == 1.0 + 0.0j
-        assert unit_phase_frac(21, 7) == 1.0 + 0.0j
-        assert unit_phase_frac(-7, 7) == 1.0 + 0.0j
+        assert unit_phase(7, 7) == 1.0 + 0.0j
+        assert unit_phase(21, 7) == 1.0 + 0.0j
+        assert unit_phase(-7, 7) == 1.0 + 0.0j
 
     def test_frac_matches_direct(self):
         for num in range(-5, 6):
             expected = cmath.exp(2j * cmath.pi * num / 5)
-            assert abs(unit_phase_frac(num, 5) - expected) < 1e-14
+            assert abs(unit_phase(num, 5) - expected) < 1e-14
+
+    def test_scalar_returns_complex_array_returns_array(self):
+        assert type(unit_phase(3, 7)) is complex
+        out = unit_phase(np.arange(7), 7)
+        assert isinstance(out, np.ndarray) and out.dtype == complex
+        assert out.tolist() == [unit_phase(n, 7) for n in range(7)]
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**15), st.integers(-10**15, 10**15))
+    def test_whole_turns_drop_out_exactly(self, n, d, t):
+        assert unit_phase(n + t * d, d) == unit_phase(n, d)
+
+    @given(st.lists(st.integers(-2**52, 2**52), min_size=1, max_size=40),
+           st.integers(1, 2**52))
+    def test_array_of_ints_matches_scalar_calls_bit_for_bit(self, numerators, d):
+        scalar = np.array([unit_phase(n, d) for n in numerators])
+        assert unit_phase(np.array(numerators), d).tobytes() == scalar.tobytes()
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40), st.integers(1, 1000))
+    def test_array_of_floats_matches_scalar_calls_bit_for_bit(self, numerators, d):
+        scalar = np.array([unit_phase(x, d) for x in numerators])
+        assert unit_phase(np.array(numerators), d).tobytes() == scalar.tobytes()
 
 
 class TestQDeformation:
@@ -213,9 +234,6 @@ class TestRepresentation:
 
 
 class TestPolarFactors:
-    def test_wrap_phase_value(self):
-        assert math.isclose(wrap_phase(4, 0.37), 2.0 * math.pi * 1.5 * 0.37)
-
     def test_h_is_diagonal_nonneg(self):
         # H is held as its diagonal: grid[n_a, n_b] is the eigenvalue on |n_a, n_b>
         h = build_h(build_rep(4))
@@ -233,7 +251,7 @@ class TestPolarFactors:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("r", R_GRID)
     def test_ur_interior_shift_coefficient_is_one(self, k, r):
-        u = build_ur(build_rep(k), wrap_phase(k, r))
+        u = build_ur(build_rep(k), Fraction(r) * (k - 1) / 2)
         for n_a in range(k - 1):
             for n_b in range(1, k):
                 src = FockLabel(n_a, n_b)
@@ -244,32 +262,32 @@ class TestPolarFactors:
     @pytest.mark.parametrize("r", R_GRID)
     def test_ur_wraps_diagonal_top_state(self, k, r):
         # |k-1, 0> -> e^{i phi_r} |0, k-1> with phi_r = 2 pi (k-1) r / 2
-        u = build_ur(build_rep(k), wrap_phase(k, r))
+        u = build_ur(build_rep(k), Fraction(r) * (k - 1) / 2)
         entry = product_entry(u, FockLabel(0, k - 1), FockLabel(k - 1, 0))
-        assert abs(entry - unit_phase((k - 1) * r / 2.0)) < 1e-13
+        assert abs(entry - cmath.exp(2j * math.pi * (k - 1) * r / 2.0)) < 1e-13
 
     def test_ur_accepts_any_winding_angle(self):
         # the winding angle is a free parameter of the construction; no
         # relation to a rational multiple of 2 pi is assumed at this level
-        k, phi = 3, 1.234
+        k, turns = 3, 0.1964
         rep = build_rep(k)
-        u = build_ur(rep, phi)
+        u = build_ur(rep, turns)
         entry = product_entry(u, FockLabel(0, k - 1), FockLabel(k - 1, 0))
-        assert abs(entry - cmath.exp(1j * phi)) < 1e-14
-        assert cyclicity_residual(rep, phi) < 1e-12
+        assert abs(entry - cmath.exp(2j * math.pi * turns)) < 1e-14
+        assert cyclicity_residual(rep, turns) < 1e-12
 
     @pytest.mark.parametrize("k", K_RANGE)
     @pytest.mark.parametrize("r", R_GRID)
     def test_ur_unitary(self, k, r):
         # A (x) B is unitary when both factors are: (A (x) B)^dag (A (x) B) = A^dag A (x) B^dag B
-        u = build_ur(build_rep(k), wrap_phase(k, r))
+        u = build_ur(build_rep(k), Fraction(r) * (k - 1) / 2)
         for factor in (u.a, u.b):
             assert np.max(np.abs(factor.conj().T @ factor - np.eye(k))) < 1e-12
 
     @pytest.mark.parametrize("k", K_RANGE)
     @pytest.mark.parametrize("r", R_GRID)
     def test_cyclicity(self, k, r):
-        assert cyclicity_residual(build_rep(k), wrap_phase(k, r)) < 1e-10
+        assert cyclicity_residual(build_rep(k), Fraction(r) * (k - 1) / 2) < 1e-10
 
     def test_polar_product_reproduces_interior_weights(self):
         # H U_r carries |n_a, n_b> to sqrt((n_a+1) n_b) |n_a+1, n_b-1>
@@ -277,7 +295,7 @@ class TestPolarFactors:
         k, r = 5, 0.37
         rep = build_rep(k)
         h = build_h(rep)
-        u = build_ur(rep, wrap_phase(k, r))
+        u = build_ur(rep, Fraction(r) * (k - 1) / 2)
         for n_a in range(k - 1):
             for n_b in range(1, k):
                 dst = FockLabel(n_a + 1, n_b - 1)
@@ -331,28 +349,28 @@ class TestSineAlgebra:
     def test_sine_bracket_holds_at_nonzero_winding(self, k, r):
         # the bracket closes for any fixed winding angle, not just zero
         rep = build_rep(k)
-        phi = wrap_phase(k, r)
+        turns = Fraction(r) * (k - 1) / 2
         worst = 0.0
         for m1 in range(k):
             for m2 in range(k):
                 worst = max(worst, w_commutator_check(
-                    rep, phi, (m1, m2), (1, k - 1)))
+                    rep, turns, (m1, m2), (1, k - 1)))
         assert worst < 1e-10
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("r", [0.0, 0.37])
     def test_all_pairs_sweep_is_the_worst_single_bracket(self, k, r):
         rep = build_rep(k)
-        phi = wrap_phase(k, r)
+        turns = Fraction(r) * (k - 1) / 2
         labels = [(m1, m2) for m1 in range(k) for m2 in range(k)]
-        worst = max(w_commutator_check(rep, phi, m, n) for m in labels for n in labels)
-        assert w_algebra_residual(rep, phi) == worst
+        worst = max(w_commutator_check(rep, turns, m, n) for m in labels for n in labels)
+        assert w_algebra_residual(rep, turns) == worst
         assert worst < 1e-10
 
     def test_sine_bracket_negative_labels_and_nonzero_winding(self):
         rep = build_rep(4)
-        assert w_commutator_check(rep, wrap_phase(4, 0.37), (-1, 2), (1, -1)) < 1e-11
-        assert w_commutator_check(rep, wrap_phase(4, 2.5), (-2, -1), (3, 1)) < 1e-11
+        assert w_commutator_check(rep, Fraction(0.37) * 3 / 2, (-1, 2), (1, -1)) < 1e-11
+        assert w_commutator_check(rep, Fraction(2.5) * 3 / 2, (-2, -1), (3, 1)) < 1e-11
 
 
 class TestFactorizationOracle:
@@ -406,11 +424,11 @@ class TestFactorizationOracle:
     @pytest.mark.parametrize("r", R_GRID)
     def test_cyclicity_matches_dense(self, k, r):
         rep = build_rep(k)
-        phi = wrap_phase(k, r)
-        u = build_ur(rep, phi).dense()
-        target = half_angle_phase(phi) ** 2 * np.eye(rep.dim)
+        turns = Fraction(r) * (k - 1) / 2
+        u = build_ur(rep, turns).dense()
+        target = unit_phase(turns.numerator, turns.denominator) * np.eye(rep.dim)
         dense = float(np.max(np.abs(np.linalg.matrix_power(u, k) - target)))
-        assert abs(cyclicity_residual(rep, phi) - dense) <= 1e-15
+        assert abs(cyclicity_residual(rep, turns) - dense) <= 1e-15
 
     @pytest.mark.parametrize("k", range(2, 7))
     @pytest.mark.parametrize("r", R_GRID)
@@ -419,7 +437,7 @@ class TestFactorizationOracle:
         inside = diagonal_multiplet_indices(k)
         outside = [i for i in range(k * k) if i not in inside]
         h = build_h(rep)
-        u = build_ur(rep, wrap_phase(k, r))
+        u = build_ur(rep, Fraction(r) * (k - 1) / 2)
         for op, dense in ((h, np.diag(h.ravel())), (u, u.dense())):
             block, leakage = restrict_fock_operator(op, k)
             assert np.array_equal(block, dense[np.ix_(inside, inside)])
@@ -439,4 +457,4 @@ class TestMaxK:
                 assert value == 0.0, name
             else:
                 assert value <= 1e-12, name
-        assert cyclicity_residual(rep, wrap_phase(k, r)) <= 1e-10
+        assert cyclicity_residual(rep, Fraction(r) * (k - 1) / 2) <= 1e-10

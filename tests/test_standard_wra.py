@@ -590,6 +590,13 @@ class TestTensors:
     def test_non_triangle_tensor_is_zero(self):
         assert not cg_tensor(H(1), H(1), H(6)).any()
 
+    def test_non_triangle_tensor_is_cached_and_write_protected(self):
+        a = cg_tensor(H(1), H(1), H(6))
+        assert a.shape == (2, 2, 7)
+        assert cg_tensor(H(1), H(1), H(6)) is a
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 1.0
+
     def test_tensors_are_write_protected(self):
         tensor = cg_tensor(H(2), H(2), H(2))
         with pytest.raises(ValueError):

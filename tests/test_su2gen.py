@@ -52,8 +52,9 @@ class TestSpinSpace:
         assert abs(sp.wrap_factor - expected) < 1e-15
 
     def test_winding_angle(self):
-        sp = SpinSpace(H(3), 0.37)
-        assert math.isclose(sp.phi_r, 2.0 * math.pi * 1.5 * 0.37)
+        # phi_r / (2 pi) = j r turns, held as an exact ratio of ints
+        numerator, denominator = (0.37).as_integer_ratio()
+        assert SpinSpace(H(3), 0.37).jr_turns == (3 * numerator, 2 * denominator)
 
     def test_integer_winding_has_trivial_or_sign_wrap(self):
         # phi_r = 2 pi j r: integer r on integer j is a full turn
@@ -244,7 +245,7 @@ class TestQuonRestriction:
         assert leakage == 1.0
 
     @pytest.mark.parametrize("k", range(2, 11))
-    @pytest.mark.parametrize("r", [0.0, 0.37, 2.5])
+    @pytest.mark.parametrize("r", [0.0, 0.37, 2.5, 1e6, 1e12, 123456789 / 7])
     def test_oscillator_construction_matches_closed_form(self, k, r):
         report = quon_restriction_report(build_rep(k), r)
         assert report.within(1e-12), str(report)
