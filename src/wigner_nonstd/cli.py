@@ -11,22 +11,25 @@ verify             run every invariant suite and emit a pass/fail report
 Complex numbers serialize as [re, im]; half-integers as reduced strings
 ("3/2", "2"); table rows are sorted numerically by label tuple, and equal
 tuples keep their input order. CSV output adds magnitude and phase
-columns. A config file in key = value form may supply any long flag's
-value; other keys are refused, and explicit flags win. Exit status: 0
-success, 1 verification failure, 2 bad arguments.
+columns. Each command builds one document, a JSON payload or CSV rows
+from a generator, and emit streams it to stdout or --output; a job is
+refused (bad or missing flags, non-finite values, over MAX_ROWS rows)
+before any byte is written. A config file in key = value form may supply
+any long flag's value; other keys are refused, and explicit flags win.
+Exit status: 0 success, 1 verification failure, 2 bad arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -40,6 +43,8 @@ from .su2gen import SpinSpace, build_spin_ops
 from .verify import VerifyConfig, report_dict, run_suites
 
 MAX_TWICE_J = 128
+# the most rows one table or export may have; a larger job exits 2 before any work
+MAX_ROWS = 500_000
 
 
 class ConfigError(ValueError):
@@ -201,11 +206,18 @@ class _Table:
     blocks: list[_Block]
 
 
+def _check_rows(job: str, rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise ConfigError(f"{job} would write {rows:,} rows, over the row cap of {MAX_ROWS:,}")
+
+
 def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
     j1, j2, j3 = config.j1, config.j2, config.j3
     if config.command == "tabulate-cg":
         if j1 is None or j2 is None:
             raise ConfigError("tabulate-cg needs --j1 and --j2")
+        _check_rows(f"tabulate-cg --j1 {j1} --j2 {j2} --r (n = {len(r_values)})",
+                    len(r_values) * (j1.twice + 1) ** 2 * (j2.twice + 1) ** 2)
         blocks = []
         for r in r_values:
             sp1, sp2 = SpinSpace(j1, r), SpinSpace(j2, r)
@@ -220,6 +232,8 @@ def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
     if config.command == "tabulate-fbar":
         if j1 is None or j2 is None or j3 is None:
             raise ConfigError("tabulate-fbar needs --j1, --j2 and --j3")
+        _check_rows(f"tabulate-fbar --j1 {j1} --j2 {j2} --j3 {j3} --r (n = {len(r_values)})",
+                    len(r_values) * (j1.twice + 1) * (j2.twice + 1) * (j3.twice + 1))
         blocks = []
         for r in r_values:
             spaces = (SpinSpace(j1, r), SpinSpace(j2, r), SpinSpace(j3, r))
@@ -240,27 +254,29 @@ def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
     if config.symbol == "cg":
         if j1 is None or j2 is None or config.j is None:
             raise ConfigError("tabulate-standard --symbol cg needs --j1, --j2 and --j")
-        spins = (j1, j2, config.j)
-        columns = ["j1", "j2", "j", "m1", "m2", "m"]
-        values = [cg(j1, j2, m1, m2, config.j, m)
-                  for m1, m2, m in itertools.product(*map(m_values, spins))]
+        spins, columns = (j1, j2, config.j), ["j1", "j2", "j", "m1", "m2", "m"]
     elif config.symbol == "threejm":
         if j1 is None or j2 is None or j3 is None:
             raise ConfigError("tabulate-standard --symbol threejm needs --j1, --j2 and --j3")
-        spins = (j1, j2, j3)
-        columns = ["j1", "j2", "j3", "m1", "m2", "m3"]
-        values = [threejm(j1, j2, j3, *ms)
-                  for ms in itertools.product(*map(m_values, spins))]
+        spins, columns = (j1, j2, j3), ["j1", "j2", "j3", "m1", "m2", "m3"]
     else:
         raise ConfigError(f"unknown symbol {config.symbol!r}; pick cg, threejm or sixj")
+    _check_rows(f"tabulate-standard --symbol {config.symbol} "
+                + " ".join(f"--{name} {spin}" for name, spin in zip(columns, spins)),
+                math.prod(spin.twice + 1 for spin in spins))
+    ms = itertools.product(*map(m_values, spins))
+    if config.symbol == "cg":
+        values = [cg(j1, j2, m1, m2, config.j, m) for m1, m2, m in ms]
+    else:
+        values = [threejm(j1, j2, j3, m1, m2, m3) for m1, m2, m3 in ms]
     axes = tuple(tuple(map(_half_label, m_values(x))) for x in spins)
     tensor = np.array([float(v) for v in values]).reshape([len(axis) for axis in axes])
     block = _Block(tuple(map(_half_label, spins)), axes, tensor, tuple(map(str, values)))
     return _Table(columns, "standard", config.symbol, [block])
 
 
-def _format_table(table: _Table, fmt: str) -> str:
-    """Serialize the rows in the stable order of their numeric label tuples."""
+def _format_table(table: _Table, fmt: str) -> dict | Iterator[list]:
+    """The table as a document for emit, rows in the stable order of their numeric label tuples."""
     keys, texts = [], []
     for block in table.blocks:
         # a fixed label is an axis of length one
@@ -287,25 +303,21 @@ def _format_table(table: _Table, fmt: str) -> str:
             if text is not None:
                 entry["exact"] = text
             entries.append(entry)
-        payload = {"columns": table.columns, "scheme": table.scheme,
-                   "formula": table.formula, "rows": entries}
-        return json.dumps(payload, indent=2) + "\n"
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(table.columns + ["re", "im", "magnitude", "phase"]
-                    + (["exact"] if exact else []))
-    for row_labels, value, text in rows:
-        phase = math.atan2(value.imag, value.real) if value != 0 else 0.0
-        writer.writerow(row_labels + [repr(value.real), repr(value.imag),
-                                      repr(abs(value)), repr(phase)]
-                        + ([text] if text is not None else []))
-    return buf.getvalue()
+        return {"columns": table.columns, "scheme": table.scheme,
+                "formula": table.formula, "rows": entries}
+    header = table.columns + ["re", "im", "magnitude", "phase"] + (["exact"] if exact else [])
+    return itertools.chain([header], (
+        row_labels + [repr(value.real), repr(value.imag), repr(abs(value)),
+                      repr(math.atan2(value.imag, value.real) if value != 0 else 0.0)]
+        + ([text] if text is not None else [])
+        for row_labels, value, text in rows))
 
 
 def _export_ops_payload(config: JobConfig, r_values: tuple[float, ...]) -> dict:
     if config.j is None:
         raise ConfigError("export-ops needs --j")
+    _check_rows(f"export-ops --j {config.j} --r (n = {len(r_values)})",
+                len(r_values) * 6 * (config.j.twice + 1) ** 2)
 
     def matrix(entries: np.ndarray) -> list:
         return [[_complex_pair(entries[i, kcol]) for kcol in range(entries.shape[1])]
@@ -332,35 +344,48 @@ def _export_ops_payload(config: JobConfig, r_values: tuple[float, ...]) -> dict:
     return {"exports": exports}
 
 
-def _export_ops_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"])
+def _export_ops_rows(payload: dict) -> Iterator[list]:
+    yield ["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"]
     for export in payload["exports"]:
         for name, entries in sorted(export["operators"].items()):
             for i, row in enumerate(entries):
                 for kcol, (re, im) in enumerate(row):
                     mag = math.hypot(re, im)
                     ph = math.atan2(im, re) if (re, im) != (0.0, 0.0) else 0.0
-                    writer.writerow([export["j"], repr(export["r"]), name, i, kcol,
-                                     repr(re), repr(im), repr(mag), repr(ph)])
-    return buf.getvalue()
+                    yield [export["j"], repr(export["r"]), name, i, kcol,
+                           repr(re), repr(im), repr(mag), repr(ph)]
 
 
-def write_output(text: str, path: str | None) -> None:
-    """Write atomically (temp file, then rename); a device or FIFO is written in place."""
+def _verify_rows(report: dict) -> Iterator[list]:
+    yield ["check", "parameters", "residual", "tolerance", "pass"]
+    for check in report["checks"]:
+        yield [check["check"], json.dumps(check["parameters"]),
+               repr(check["residual"]), repr(check["tolerance"]), check["pass"]]
+
+
+def emit(document: dict | Iterable[list], fmt: str, path: str | None) -> None:
+    """Stream a JSON payload (dict) or CSV rows (header first) to stdout, in place to an
+    existing device or FIFO, or to a temp file renamed over path unless something raises.
+    """
+    def write(fh) -> None:
+        if fmt == "json":
+            json.dump(document, fh, indent=2)
+            fh.write("\n")
+        else:
+            csv.writer(fh).writerows(document)
+
     if path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wigner-nonstd-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -371,42 +396,28 @@ def write_output(text: str, path: str | None) -> None:
 
 
 def run(config: JobConfig) -> int:
-    """Execute one job; returns the process exit status."""
+    """Execute one job; returns the process exit status. Refusals come before any output."""
     if config.fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {config.fmt!r}")
     r_values = config.r_values or (0.0,)
     if config.command in ("tabulate-cg", "tabulate-fbar", "tabulate-standard"):
-        table = _build_table(config, r_values)
-        write_output(_format_table(table, config.fmt), config.output)
+        emit(_format_table(_build_table(config, r_values), config.fmt), config.fmt, config.output)
         return 0
     if config.command == "export-ops":
-        payload = _export_ops_payload(config, r_values)
-        if config.fmt == "json":
-            write_output(json.dumps(payload, indent=2) + "\n", config.output)
-        else:
-            write_output(_export_ops_csv(payload), config.output)
-        return 0
-    if config.command == "verify":
+        payload, csv_rows = _export_ops_payload(config, r_values), _export_ops_rows
+    elif config.command == "verify":
         vconfig = config.verify
         if config.r_values is not None:
             vconfig = replace(vconfig, r_values=config.r_values)
-        results = run_suites(vconfig)
-        report = report_dict(results, vconfig)
-        if config.fmt == "json":
-            write_output(json.dumps(report, indent=2) + "\n", config.output)
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["check", "parameters", "residual", "tolerance", "pass"])
-            for check in report["checks"]:
-                writer.writerow([check["check"], json.dumps(check["parameters"]),
-                                 repr(check["residual"]), repr(check["tolerance"]),
-                                 check["pass"]])
-            write_output(buf.getvalue(), config.output)
-        passed = report["total"] - report["failed"]
-        print(f"verify: {passed}/{report['total']} checks passed", file=sys.stderr)
-        return 0 if report["all_pass"] else 1
-    raise ConfigError(f"unknown command {config.command!r}")
+        payload, csv_rows = report_dict(run_suites(vconfig), vconfig), _verify_rows
+    else:
+        raise ConfigError(f"unknown command {config.command!r}")
+    emit(payload if config.fmt == "json" else csv_rows(payload), config.fmt, config.output)
+    if config.command == "verify":
+        passed = payload["total"] - payload["failed"]
+        print(f"verify: {passed}/{payload['total']} checks passed", file=sys.stderr)
+        return 0 if payload["all_pass"] else 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ import numpy as np
 from .halfint import HalfInt, coupled_j_values, triangle
 from .quon import unit_phase
 from .standard_wra import cg_float, cg_tensor, sixj, threejm, threejm_tensor
-from .su2gen import ResidualReport, SpinOperatorSet, SpinSpace, build_spin_ops, winding_turns
+from .su2gen import (ResidualReport, SpinOperatorSet, SpinSpace, build_spin_ops, checked_winding,
+                     winding_turns)
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,9 @@ class AlphaLabel:
     s: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", float(self.r))
-        if not math.isfinite(self.r):
-            raise ValueError(f"r must be a finite number, got {self.r}")
+        object.__setattr__(self, "r", checked_winding(self.j, self.r))
+        if not isinstance(self.s, int) or isinstance(self.s, bool):
+            raise TypeError(f"s must be an int, got {type(self.s).__name__}")
         if not 0 <= self.s <= self.j.twice:
             raise ValueError(f"s must lie in [0, 2j] = [0, {self.j.twice}], got {self.s}")
 

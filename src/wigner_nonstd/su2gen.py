@@ -29,6 +29,21 @@ def winding_turns(j: HalfInt, r: float) -> tuple[int, int]:
     return j.twice * numerator, 2 * denominator
 
 
+def checked_winding(j: HalfInt, r: float) -> float:
+    """r as a finite float, once j is checked; the rules SpinSpace and AlphaLabel share."""
+    if not isinstance(j, HalfInt):
+        raise TypeError(f"j must be a HalfInt, got {type(j).__name__}")
+    if not is_valid_j(j):
+        raise ValueError(f"j must be a non-negative half-integer, got {j}")
+    try:
+        value = float(r)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"r must be a finite number, got {r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SpinSpace:
     """A single multiplet F_j with winding parameter r.
@@ -41,11 +56,7 @@ class SpinSpace:
     r: float
 
     def __post_init__(self) -> None:
-        if not is_valid_j(self.j):
-            raise ValueError(f"j must be a non-negative half-integer, got {self.j}")
-        object.__setattr__(self, "r", float(self.r))
-        if not math.isfinite(self.r):
-            raise ValueError(f"r must be a finite number, got {self.r}")
+        object.__setattr__(self, "r", checked_winding(self.j, self.r))
 
     @property
     def dim(self) -> int:

@@ -230,6 +230,11 @@ class TestTabulateCg:
                         "--output", str(out)) == 2
         assert "symbol value must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+        for fmt in ("json", "csv"):
+            assert run_main("tabulate-cg", "--j1", "1/2", "--j2", "1/2", "--format", fmt) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "symbol value must be finite" in captured.err
 
     def test_csv_signed_zero_has_zero_phase(self, capsys, monkeypatch):
         # atan2 would give -pi for -0.0 - 0.0j; a zero value keeps phase 0.0
@@ -524,6 +529,150 @@ class TestOutputFiles:
         assert code == 2
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
+
+
+WRITER_JOBS = [
+    ["tabulate-cg", "--j1", "1", "--j2", "1/2", "--r=0.37,-1.3"],
+    ["tabulate-fbar", "--j1", "1/2", "--j2", "1", "--j3", "1/2", "--r=1/4"],
+    ["tabulate-standard", "--symbol", "cg", "--j1", "1", "--j2", "1/2", "--j", "3/2"],
+    ["tabulate-standard", "--symbol", "threejm", "--j1", "1", "--j2", "1", "--j3", "1"],
+    ["tabulate-standard", "--symbol", "sixj", "--labels", "1/2,1/2,1,1/2,1/2,1"],
+    ["export-ops", "--j", "3/2", "--r=0.37,0"],
+    ["verify", "--j-max", "1/2", "--k", "2", "--r", "0"],
+]
+
+# jobs over cli.MAX_ROWS; they must never run for real, their tensors would take gigabytes
+OVER_CAP_JOBS = [
+    (["tabulate-cg", "--j1", "64", "--j2", "64"],
+     "tabulate-cg --j1 64 --j2 64 --r (n = 1) would write 276,922,881 rows"),
+    (["tabulate-fbar", "--j1", "64", "--j2", "64", "--j3", "64"],
+     "tabulate-fbar --j1 64 --j2 64 --j3 64 --r (n = 1) would write 2,146,689 rows"),
+    (["tabulate-standard", "--symbol", "threejm", "--j1", "64", "--j2", "64", "--j3", "64"],
+     "tabulate-standard --symbol threejm --j1 64 --j2 64 --j3 64 would write 2,146,689 rows"),
+    (["tabulate-standard", "--symbol", "cg", "--j1", "64", "--j2", "64", "--j", "64"],
+     "tabulate-standard --symbol cg --j1 64 --j2 64 --j 64 would write 2,146,689 rows"),
+    (["tabulate-cg", "--j1", "10", "--j2", "10", "--r=0,1,2"],
+     "tabulate-cg --j1 10 --j2 10 --r (n = 3) would write 583,443 rows"),
+    (["export-ops", "--j", "64", "--r=0,1,2,3,4,5"],
+     "export-ops --j 64 --r (n = 6) would write 599,076 rows"),
+]
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("a tensor or operator was built")
+
+
+def forbid_work(monkeypatch):
+    for name in ("SpinSpace", "cg_nonstandard_tensor", "fbar_tensor", "cg", "threejm",
+                 "sixj", "build_spin_ops", "run_suites"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", WRITER_JOBS, ids=lambda argv: " ".join(argv[:3]))
+    def test_bytes_equal_the_whole_string_formula(self, argv, fmt, tmp_path, capsys,
+                                                  monkeypatch):
+        # record each document as emit consumes it, then rebuild the output the
+        # way it was built before streaming: one string from json.dumps or a StringIO
+        documents = []
+        real_emit = cli.emit
+
+        def recording_emit(document, fmt, path):
+            if fmt == "json":
+                documents.append(document)
+            else:
+                seen = []
+                documents.append(seen)
+                document = (seen.append(row) or row for row in document)
+            real_emit(document, fmt, path)
+
+        monkeypatch.setattr(cli, "emit", recording_emit)
+        out = tmp_path / "out"
+        assert run_main(*argv, "--format", fmt, "--output", str(out)) == 0
+        assert run_main(*argv, "--format", fmt) == 0
+        stdout = capsys.readouterr().out
+        to_file, to_stdout = documents
+        assert to_file == to_stdout
+        if fmt == "json":
+            reference = json.dumps(to_file, indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            csv.writer(buf).writerows(to_file)
+            reference = buf.getvalue()
+            assert reference.endswith("\r\n")
+        assert out.read_bytes() == reference.encode("utf-8")
+        assert stdout == reference
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_csv_table_rows_are_generated_lazily(self):
+        config = cli.JobConfig(command="tabulate-cg", j1=HalfInt(1), j2=HalfInt(1))
+        document = cli._format_table(cli._build_table(config, (0.0,)), "csv")
+        assert not isinstance(document, (list, tuple))
+        assert next(iter(document))[:4] == ["j1", "j2", "j", "r"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failure_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch, fmt):
+        def failing_rows(payload):
+            yield ["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"]
+            yield ["1/2", "0.0", "h", 0, 0, "0.0", "0.0", "0.0", "0.0"]
+            raise ValueError("row generator failed")
+
+        real_payload = cli._export_ops_payload
+
+        def circular_payload(config, r_values):
+            # json.dump finds the cycle only after it has written the first export
+            payload = real_payload(config, r_values)
+            payload["exports"].append(payload["exports"])
+            return payload
+
+        monkeypatch.setattr(cli, "_export_ops_rows", failing_rows)
+        monkeypatch.setattr(cli, "_export_ops_payload", circular_payload)
+        out = tmp_path / "ops.out"
+        assert run_main("export-ops", "--j", "3/2", "--format", fmt, "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert ("row generator failed" if fmt == "csv" else "Circular reference") in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", OVER_CAP_JOBS,
+                             ids=[" ".join(argv) for argv, _ in OVER_CAP_JOBS])
+    def test_job_over_row_cap_exits_two_before_any_work(self, argv, message, tmp_path, capsys,
+                                                         monkeypatch):
+        forbid_work(monkeypatch)
+        assert run_main(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}, over the row cap of {cli.MAX_ROWS:,}" in captured.err
+        assert run_main(*argv, "--format", "csv", "--output", str(tmp_path / "t.csv")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_row_cap_admits_the_baseline_jobs(self, capsys, monkeypatch):
+        # rows are counted from the blocks that would be written, not formatted
+        def row_count(table, fmt):
+            return {"rows": sum(block.values.size for block in table.blocks)}
+
+        monkeypatch.setattr(cli, "_format_table", row_count)
+        monkeypatch.setattr(cli, "cg_nonstandard_tensor",
+                            lambda sp1, sp2, sp: np.zeros((sp1.dim, sp2.dim, sp.dim)))
+        monkeypatch.setattr(cli, "threejm", lambda *labels: 0)
+        assert run_json(capsys, "tabulate-cg", "--j1", "10", "--j2", "10")["rows"] == 194_481
+        assert run_json(capsys, "tabulate-standard", "--symbol", "threejm", "--j1", "32",
+                        "--j2", "32", "--j3", "32")["rows"] == 274_625
+
+    @pytest.mark.parametrize("argv", [
+        ["tabulate-cg", "--j1", "64", "--j2", "64"],  # over the row cap
+        ["tabulate-cg", "--j1", "1/2", "--j2", "1/2", "--r=0,nan"],  # non-finite r
+        ["tabulate-cg", "--j1", "1/2"],  # missing flag
+        ["export-ops"],
+        ["tabulate-standard", "--symbol", "sixj", "--labels", "1,1,1"],
+        ["verify", "--j-max", "1/2", "--k", "2", "--tol", "1e400"],
+    ], ids=" ".join)
+    def test_refused_job_prints_nothing_to_stdout(self, argv, capsys, monkeypatch):
+        forbid_work(monkeypatch)
+        assert run_main(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestEntryPoint:

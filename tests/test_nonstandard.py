@@ -64,10 +64,26 @@ class TestAlphaLabel:
         with pytest.raises(ValueError):
             AlphaLabel(H(2), 0.0, -1)
 
-    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("s", [1.5, 1.0, True, False, None])
+    def test_s_must_be_a_plain_int(self, s):
+        # s = 1.5 gave the eigenvalue -1, a phase no label of j = 1 has
+        with pytest.raises(TypeError, match="^s must be an int, got "):
+            AlphaLabel(H(2), 0.0, s)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 10**400, -(10**400)],
+                             ids=["nan", "inf", "-inf", "1e400", "-1e400"])
     def test_non_finite_r_rejected(self, r):
         with pytest.raises(ValueError, match="r must be a finite number"):
             AlphaLabel(H(2), r, 0)
+
+    @pytest.mark.parametrize("j", [2, 1.0, "1"])
+    def test_j_must_be_a_halfint(self, j):
+        with pytest.raises(TypeError, match="^j must be a HalfInt, got "):
+            AlphaLabel(j, 0.0, 0)
+
+    def test_negative_j_rejected(self):
+        with pytest.raises(ValueError, match="j must be a non-negative half-integer"):
+            AlphaLabel(H(-2), 0.0, 0)
 
     def test_eigenvalue_formula(self):
         lab = AlphaLabel(H(3), 0.37, 2)

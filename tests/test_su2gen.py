@@ -46,6 +46,17 @@ class TestSpinSpace:
         with pytest.raises(ValueError, match="r must be a finite number"):
             SpinSpace(H(2), r)
 
+    @pytest.mark.parametrize("r", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_r_too_large_for_a_float_rejected(self, r):
+        # float() of such an int raises OverflowError; it is refused like inf
+        with pytest.raises(ValueError, match="r must be a finite number"):
+            SpinSpace(H(2), r)
+
+    @pytest.mark.parametrize("j", [3, 1.5, "3/2"])
+    def test_j_must_be_a_halfint(self, j):
+        with pytest.raises(TypeError, match="^j must be a HalfInt, got "):
+            SpinSpace(j, 0.0)
+
     def test_wrap_factor(self):
         sp = SpinSpace(H(3), 0.37)
         expected = np.exp(2j * np.pi * 1.5 * 0.37)
