@@ -9,9 +9,11 @@ export-ops         generator matrices on one multiplet as JSON/CSV
 verify             run every invariant suite and emit a pass/fail report
 
 Complex numbers serialize as [re, im]; half-integers as reduced strings
-("3/2", "2"); table rows are sorted numerically by label tuple, and equal
-tuples keep their input order. CSV output adds magnitude and phase
-columns. Each command builds one document, a JSON payload or CSV rows
+("3/2", "2"). Table rows ascend by label tuple: blocks are built in order
+of their fixed labels (j, then r; a repeated --r is refused) and each is
+written in C order of its axes (s, so alpha = -j r + s, or m ascending);
+alphas that round to one float keep s order. CSV output adds magnitude
+and phase columns. Each command builds one document, a JSON payload or CSV rows
 from a generator, and emit streams it to stdout or --output; a job is
 refused (bad or missing flags, non-finite values, over MAX_ROWS rows)
 before any byte is written. A config file in key = value form may supply
@@ -27,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -62,17 +65,20 @@ def parse_half(text: str, flag: str = "--j") -> HalfInt:
 
 
 def parse_r_list(text: str) -> tuple[float, ...]:
-    """Comma-separated r values, each a finite decimal or a rational p/q."""
-    values = []
+    """Comma-separated r values, each a finite decimal or a rational p/q; a repeat is refused."""
+    values: dict[float, str] = {}
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
-            values.append(float(Fraction(piece)))
+            value = float(Fraction(piece))
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ConfigError(
                 f"--r: cannot parse {piece!r} as a finite decimal or p/q") from None
+        if value in values:
+            raise ConfigError(f"--r: {piece!r} repeats {values[value]!r}, both r = {value!r}")
+        values[value] = piece
     if not values:
         raise ConfigError("--r: empty list")
     return tuple(values)
@@ -172,28 +178,18 @@ def _complex_pair(value: complex) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# symbol tables. A label is a (sort key, text) pair; a block is one value
-# tensor with its fixed labels and one label axis per tensor index.
-
-_Label = tuple[float, str]
+# symbol tables. A block is one value tensor with its fixed label texts and
+# one axis of label texts per tensor index, each in the order rows are written.
 
 
-def _half_label(value: HalfInt) -> _Label:
-    return float(value), str(value)
-
-
-def _float_label(value: float) -> _Label:
-    return float(value), repr(float(value))
-
-
-def _alpha_axis(space: SpinSpace) -> tuple[_Label, ...]:
-    return tuple(_float_label(label.alpha) for label in alpha_labels(space))
+def _alpha_axis(space: SpinSpace) -> tuple[str, ...]:
+    return tuple(repr(label.alpha) for label in alpha_labels(space))
 
 
 @dataclass(frozen=True)
 class _Block:
-    fixed: tuple[_Label, ...]
-    axes: tuple[tuple[_Label, ...], ...]
+    fixed: tuple[str, ...]
+    axes: tuple[tuple[str, ...], ...]
     values: np.ndarray  # C order over the axes
     exact: tuple[str, ...] | None = None
 
@@ -219,12 +215,11 @@ def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
         _check_rows(f"tabulate-cg --j1 {j1} --j2 {j2} --r (n = {len(r_values)})",
                     len(r_values) * (j1.twice + 1) ** 2 * (j2.twice + 1) ** 2)
         blocks = []
-        for r in r_values:
-            sp1, sp2 = SpinSpace(j1, r), SpinSpace(j2, r)
-            for j in coupled_j_values(j1, j2):
-                sp = SpinSpace(j, r)
+        for j in coupled_j_values(j1, j2):
+            for r in sorted(r_values):
+                sp1, sp2, sp = SpinSpace(j1, r), SpinSpace(j2, r), SpinSpace(j, r)
                 blocks.append(_Block(
-                    (_half_label(j1), _half_label(j2), _half_label(j), _float_label(r)),
+                    (str(j1), str(j2), str(j), repr(float(r))),
                     (_alpha_axis(sp1), _alpha_axis(sp2), _alpha_axis(sp)),
                     cg_nonstandard_tensor(sp1, sp2, sp)))
         return _Table(["j1", "j2", "j", "r", "alpha1", "alpha2", "alpha"],
@@ -235,10 +230,10 @@ def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
         _check_rows(f"tabulate-fbar --j1 {j1} --j2 {j2} --j3 {j3} --r (n = {len(r_values)})",
                     len(r_values) * (j1.twice + 1) * (j2.twice + 1) * (j3.twice + 1))
         blocks = []
-        for r in r_values:
+        for r in sorted(r_values):
             spaces = (SpinSpace(j1, r), SpinSpace(j2, r), SpinSpace(j3, r))
             blocks.append(_Block(
-                (_half_label(j1), _half_label(j2), _half_label(j3), _float_label(r)),
+                (str(j1), str(j2), str(j3), repr(float(r))),
                 tuple(_alpha_axis(sp) for sp in spaces),
                 fbar_tensor(*spaces)))
         return _Table(["j1", "j2", "j3", "r", "alpha1", "alpha2", "alpha3"],
@@ -248,7 +243,7 @@ def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
         if len(config.sixj_labels) != 6:
             raise ConfigError("tabulate-standard --symbol sixj needs --labels with six entries")
         value = sixj(*config.sixj_labels)
-        block = _Block(tuple(map(_half_label, config.sixj_labels)), (),
+        block = _Block(tuple(map(str, config.sixj_labels)), (),
                        np.array(float(value)), (str(value),))
         return _Table(["j1", "j2", "j3", "j4", "j5", "j6"], "standard", "sixj", [block])
     if config.symbol == "cg":
@@ -269,32 +264,27 @@ def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
         values = [cg(j1, j2, m1, m2, config.j, m) for m1, m2, m in ms]
     else:
         values = [threejm(j1, j2, j3, m1, m2, m3) for m1, m2, m3 in ms]
-    axes = tuple(tuple(map(_half_label, m_values(x))) for x in spins)
+    axes = tuple(tuple(map(str, m_values(x))) for x in spins)
     tensor = np.array([float(v) for v in values]).reshape([len(axis) for axis in axes])
-    block = _Block(tuple(map(_half_label, spins)), axes, tensor, tuple(map(str, values)))
+    block = _Block(tuple(map(str, spins)), axes, tensor, tuple(map(str, values)))
     return _Table(columns, "standard", config.symbol, [block])
 
 
+def _csv_complex(value: complex) -> list[str]:
+    """re, im, magnitude and phase cells; a zero value has phase 0.0, not atan2's +-pi."""
+    return [repr(value.real), repr(value.imag), repr(abs(value)),
+            repr(math.atan2(value.imag, value.real) if value else 0.0)]
+
+
 def _format_table(table: _Table, fmt: str) -> dict | Iterator[list]:
-    """The table as a document for emit, rows in the stable order of their numeric label tuples."""
-    keys, texts = [], []
-    for block in table.blocks:
-        # a fixed label is an axis of length one
-        axes = tuple((label,) for label in block.fixed) + block.axes
-        grid = np.indices([len(axis) for axis in axes]).reshape(len(axes), -1)
-        keys.append([np.array([key for key, _ in axis])[idx]
-                     for axis, idx in zip(axes, grid)])
-        texts.append([np.array([text for _, text in axis], dtype=object)[idx]
-                      for axis, idx in zip(axes, grid)])
-    # lexsort is stable and takes its last key as the primary one
-    order = np.lexsort(np.concatenate(keys, axis=1)[::-1])
-    labels = np.concatenate(texts, axis=1)[:, order].T.tolist()
-    values = np.concatenate([block.values.ravel() for block in table.blocks])[order]
-    if not np.isfinite(values).all():
+    """The table as a document for emit, rows block by block in C order of each block's axes."""
+    if not all(np.isfinite(block.values).all() for block in table.blocks):
         raise ValueError("symbol value must be finite")
-    exact = [text for block in table.blocks for text in block.exact or ()]
-    rows = zip(labels, values.astype(complex).tolist(),
-               [exact[i] for i in order] if exact else itertools.repeat(None))
+    rows = (([*block.fixed, *labels], value, text)
+            for block in table.blocks
+            for labels, value, text in zip(itertools.product(*block.axes),
+                                           block.values.ravel().tolist(),
+                                           block.exact or itertools.repeat(None)))
 
     if fmt == "json":
         entries = []
@@ -305,11 +295,10 @@ def _format_table(table: _Table, fmt: str) -> dict | Iterator[list]:
             entries.append(entry)
         return {"columns": table.columns, "scheme": table.scheme,
                 "formula": table.formula, "rows": entries}
-    header = table.columns + ["re", "im", "magnitude", "phase"] + (["exact"] if exact else [])
+    header = table.columns + ["re", "im", "magnitude", "phase"] + (
+        ["exact"] if table.blocks[0].exact else [])
     return itertools.chain([header], (
-        row_labels + [repr(value.real), repr(value.imag), repr(abs(value)),
-                      repr(math.atan2(value.imag, value.real) if value != 0 else 0.0)]
-        + ([text] if text is not None else [])
+        row_labels + _csv_complex(value) + ([text] if text is not None else [])
         for row_labels, value, text in rows))
 
 
@@ -350,10 +339,8 @@ def _export_ops_rows(payload: dict) -> Iterator[list]:
         for name, entries in sorted(export["operators"].items()):
             for i, row in enumerate(entries):
                 for kcol, (re, im) in enumerate(row):
-                    mag = math.hypot(re, im)
-                    ph = math.atan2(im, re) if (re, im) != (0.0, 0.0) else 0.0
                     yield [export["j"], repr(export["r"]), name, i, kcol,
-                           repr(re), repr(im), repr(mag), repr(ph)]
+                           *_csv_complex(complex(re, im))]
 
 
 def _verify_rows(report: dict) -> Iterator[list]:
@@ -382,10 +369,15 @@ def emit(document: dict | Iterable[list], fmt: str, path: str | None) -> None:
             write(fh)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)
+    os.umask(umask)
+    # mkstemp makes a 0600 file; give it the target's mode, or what open() would
+    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wigner-nonstd-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -26,6 +27,8 @@ from wigner_nonstd.cli import (
     read_config_file,
 )
 from wigner_nonstd.halfint import HalfInt
+from wigner_nonstd.nonstandard import cg_nonstandard_tensor
+from wigner_nonstd.su2gen import SpinSpace
 from wigner_nonstd.verify import VerifyConfig
 
 
@@ -93,6 +96,29 @@ class TestParsers:
         for bad in ("nan", "inf", "-inf", "1e400", "0.5,nan"):
             with pytest.raises(ConfigError, match="--r"):
                 parse_r_list(bad)
+
+    def test_parse_r_list_refuses_a_repeat(self):
+        with pytest.raises(ConfigError, match=r"^--r: '1/10' repeats '0.1', both r = 0.1$"):
+            parse_r_list("0.1,1/10")
+        with pytest.raises(ConfigError, match="'0.37' repeats '0.37'"):
+            parse_r_list("0.37, -1.3, 0.37")
+        assert parse_r_list("0.1,1/3,-0.1") == (0.1, 1 / 3, -0.1)
+
+    @pytest.mark.parametrize("argv", [
+        ["tabulate-cg", "--j1", "1/2", "--j2", "1/2"],
+        ["tabulate-fbar", "--j1", "1/2", "--j2", "1/2", "--j3", "1"],
+        ["tabulate-standard", "--symbol", "cg", "--j1", "1/2", "--j2", "1/2", "--j", "0"],
+        ["export-ops", "--j", "1"],
+        ["verify", "--j-max", "1/2", "--k", "2"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("r_text", ["0.37,0.37", "0.1,-2,1/10"])
+    def test_repeated_r_exits_two_before_any_work(self, argv, r_text, capsys, monkeypatch):
+        forbid_work(monkeypatch)
+        assert run_main(*argv, f"--r={r_text}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, *_, last = r_text.split(",")
+        assert f"error: --r: {last!r} repeats {first!r}" in captured.err
 
     def test_non_finite_r_exits_two_naming_the_flag(self, capsys):
         assert run_main("tabulate-cg", "--j1", "1/2", "--j2", "1/2", "--r=0,nan") == 2
@@ -181,7 +207,8 @@ class TestTabulateCg:
         assert hits, "expected a purely imaginary coupling of magnitude 1/sqrt2"
 
     def test_rows_are_sorted_by_labels(self, capsys):
-        r_list = ["0.37", "-1.3", "0.37", "0"]
+        # at |r| = 1e20 every alpha of a block rounds to one float; such rows keep s order
+        r_list = ["0.37", "-1.3", "1e20", "0", "-1e20", "-5/3"]
         jobs = [
             (["tabulate-cg", "--j1", "1", "--j2", "1/2"], r_list),
             (["tabulate-fbar", "--j1", "1/2", "--j2", "1", "--j3", "1/2"], r_list),
@@ -196,6 +223,18 @@ class TestTabulateCg:
                         for row in run_json(capsys, *argv, f"--r={r}")["rows"]]
             assert rows == sorted(
                 unsorted, key=lambda row: [Fraction(x) for x in row["labels"]])
+
+    def test_rows_keep_s_order_where_alphas_round_together(self, capsys):
+        # past 2^53 alpha1 = -r + s rounds s = 1 and 2 together while alpha2 stays exact;
+        # the rows still come block by block in C order of (s1, s2, s)
+        r = 2.0 ** 53 + 2
+        rows = run_json(capsys, "tabulate-cg", "--j1", "1", "--j2", "1/2", f"--r={r!r}")["rows"]
+        sp1, sp2 = SpinSpace(HalfInt(2), r), SpinSpace(HalfInt(1), r)
+        tensors = [cg_nonstandard_tensor(sp1, sp2, SpinSpace(HalfInt(tj), r)) for tj in (1, 3)]
+        assert [complex(*row["value"]) for row in rows] == np.concatenate(
+            [t.ravel() for t in tensors]).tolist()
+        alpha1 = [row["labels"][4] for row in rows[:12]]
+        assert alpha1 == [repr(-r), repr(-r)] * 2 + [repr(-r + 2)] * 8
 
     def test_default_r_is_zero(self, capsys):
         payload = run_json(capsys, "tabulate-cg", "--j1", "1/2", "--j2", "1/2")
@@ -523,6 +562,21 @@ class TestOutputFiles:
             in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_mode_follows_umask_or_existing_file(self, tmp_path):
+        argv = ["tabulate-standard", "--symbol", "sixj", "--labels", "1/2,1/2,1,1/2,1/2,1"]
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("stale\n")
+        old.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            assert run_main(*argv, "--output", str(new)) == 0
+            assert run_main(*argv, "--format", "csv", "--output", str(old)) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert old.read_text().startswith("j1,j2,")
+
     def test_failed_job_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "table.json"
         code = run_main("tabulate-cg", "--j1", "1/2", "--output", str(out))
@@ -673,6 +727,57 @@ class TestStreamedWriter:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+# sha256 of the exact-layer tables; their values come from integer arithmetic and
+# correctly rounded sqrt only, so the bytes are the same on every platform
+EXACT_TABLE_DIGESTS = [
+    (["tabulate-standard", "--symbol", "cg", "--j1", "3/2", "--j2", "1", "--j", "3/2"],
+     "abbb2f53fc4ba04fe34b251e0983f3d0e28ace74e670b6fded3bda360428b71a",
+     "034a5161f991b794b5473234861da10d88f81e604b015b15e66db41a9f1ad6a2"),
+    (["tabulate-standard", "--symbol", "threejm", "--j1", "2", "--j2", "3/2", "--j3", "5/2"],
+     "8709e0379ad4698482b379b00a1aa4f5bc1b07bdb55d763f7e34f424e9b8ac32",
+     "2b559e6f4d2df6cf09f1bd94bbee04b7425386f4c1621f6192f67a7ec3061100"),
+    (["tabulate-standard", "--symbol", "sixj", "--labels", "3/2,1,5/2,2,3/2,1"],
+     "be804d0ed4e9cf4e289b8f40f01d0eb952580a14d97a00978625e732c52d165f",
+     "7dea3a0ee08ae4b49f4b8db72e5cd5ff2b12b660988021f28cd8c1faeba29345"),
+]
+
+
+@pytest.mark.parametrize("argv, json_digest, csv_digest", EXACT_TABLE_DIGESTS,
+                         ids=[argv[2] for argv, *_ in EXACT_TABLE_DIGESTS])
+def test_exact_table_bytes_are_pinned(argv, json_digest, csv_digest, capsys):
+    for fmt, digest in (("json", json_digest), ("csv", csv_digest)):
+        assert run_main(*argv, "--format", fmt) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# the peak RSS that os.wait4 reports for a child includes the high-water mark of
+# the process that started it, so a small fresh process starts the job, not pytest
+RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mb(*argv):
+    """Peak RSS of one fresh CLI process."""
+    out = subprocess.run([sys.executable, "-c", RSS_LAUNCHER,
+                          sys.executable, "-m", "wigner_nonstd.cli", *argv],
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    code, max_rss = map(int, out.split())
+    assert code == 0
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return max_rss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
+def test_csv_table_memory_does_not_grow_with_rows():
+    # 81 rows against 83,521: the CSV rows stream, so the peaks differ by little
+    small = peak_rss_mb("tabulate-cg", "--j1", "1", "--j2", "1", "--format", "csv")
+    large = peak_rss_mb("tabulate-cg", "--j1", "8", "--j2", "8", "--format", "csv")
+    assert large - small < 15, (small, large)
 
 
 class TestEntryPoint:
