@@ -13,12 +13,17 @@ Complex numbers serialize as [re, im]; half-integers as reduced strings
 of their fixed labels (j, then r; a repeated --r is refused) and each is
 written in C order of its axes (s, so alpha = -j r + s, or m ascending);
 alphas that round to one float keep s order. CSV output adds magnitude
-and phase columns. Each command builds one document, a JSON payload or CSV rows
-from a generator, and emit streams it to stdout or --output; a job is
-refused (bad or missing flags, non-finite values, over MAX_ROWS rows)
-before any byte is written. A config file in key = value form may supply
-any long flag's value; other keys are refused, and explicit flags win.
-Exit status: 0 success, 1 verification failure, 2 bad arguments.
+and phase columns. Each command builds one document, a JSON payload or CSV
+rows from a generator, and emit streams it to stdout or --output in chunks.
+JSON is written by this module's own encoder, byte for byte as json.dump with
+a two-space indent would write it: table rows come from one text template per
+block and operator matrices from one per nesting level, so no output is held
+as one string. A job is refused (bad or missing flags, non-finite values, over
+MAX_ROWS rows) before any byte is written. A config file in key = value form
+may supply any long flag's value; other keys are refused, and explicit flags
+win.
+Exit status: 0 success, 1 verification failure, 2 bad arguments, 141 stdout
+closed by its reader before the output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -173,10 +178,6 @@ class JobConfig:
     output: str | None = None
 
 
-def _complex_pair(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
-
-
 # ---------------------------------------------------------------------------
 # symbol tables. A block is one value tensor with its fixed label texts and
 # one axis of label texts per tensor index, each in the order rows are written.
@@ -277,29 +278,23 @@ def _csv_complex(value: complex) -> list[str]:
 
 
 def _format_table(table: _Table, fmt: str) -> dict | Iterator[list]:
-    """The table as a document for emit, rows block by block in C order of each block's axes."""
+    """The table as a document for emit, rows block by block in C order of each block's axes.
+
+    The JSON payload lists the blocks themselves as its rows; the writer expands each.
+    """
     if not all(np.isfinite(block.values).all() for block in table.blocks):
         raise ValueError("symbol value must be finite")
-    rows = (([*block.fixed, *labels], value, text)
-            for block in table.blocks
-            for labels, value, text in zip(itertools.product(*block.axes),
-                                           block.values.ravel().tolist(),
-                                           block.exact or itertools.repeat(None)))
-
     if fmt == "json":
-        entries = []
-        for row_labels, value, text in rows:
-            entry = {"labels": row_labels, "value": _complex_pair(value)}
-            if text is not None:
-                entry["exact"] = text
-            entries.append(entry)
         return {"columns": table.columns, "scheme": table.scheme,
-                "formula": table.formula, "rows": entries}
+                "formula": table.formula, "rows": table.blocks}
     header = table.columns + ["re", "im", "magnitude", "phase"] + (
         ["exact"] if table.blocks[0].exact else [])
     return itertools.chain([header], (
-        row_labels + _csv_complex(value) + ([text] if text is not None else [])
-        for row_labels, value, text in rows))
+        [*block.fixed, *labels, *_csv_complex(value), *([text] if text is not None else [])]
+        for block in table.blocks
+        for labels, value, text in zip(itertools.product(*block.axes),
+                                       block.values.ravel().tolist(),
+                                       block.exact or itertools.repeat(None))))
 
 
 def _export_ops_payload(config: JobConfig, r_values: tuple[float, ...]) -> dict:
@@ -307,28 +302,23 @@ def _export_ops_payload(config: JobConfig, r_values: tuple[float, ...]) -> dict:
         raise ConfigError("export-ops needs --j")
     _check_rows(f"export-ops --j {config.j} --r (n = {len(r_values)})",
                 len(r_values) * 6 * (config.j.twice + 1) ** 2)
-
-    def matrix(entries: np.ndarray) -> list:
-        return [[_complex_pair(entries[i, kcol]) for kcol in range(entries.shape[1])]
-                for i in range(entries.shape[0])]
-
     exports = []
     for r in r_values:
         space = SpinSpace(config.j, r)
         ops = build_spin_ops(space)
+        operators = {"h": ops.h, "u_r": ops.u_r, "j_plus": ops.j_plus,
+                     "j_minus": ops.j_minus, "j3": ops.j3,
+                     "j_squared": np.asarray(ops.j_squared)}
+        for name, entries in operators.items():
+            if not np.isfinite(entries).all():
+                raise ValueError(f"export-ops --j {config.j} --r {r!r}: "
+                                 f"operator {name} has a non-finite entry")
         exports.append({
             "j": str(config.j),
             "r": r,
             "basis_m": [str(m) for m in space.m_list],
             "alpha": [label.alpha for label in alpha_labels(space)],
-            "operators": {
-                "h": matrix(ops.h),
-                "u_r": matrix(ops.u_r),
-                "j_plus": matrix(ops.j_plus),
-                "j_minus": matrix(ops.j_minus),
-                "j3": matrix(ops.j3),
-                "j_squared": matrix(np.asarray(ops.j_squared)),
-            },
+            "operators": operators,
         })
     return {"exports": exports}
 
@@ -337,10 +327,9 @@ def _export_ops_rows(payload: dict) -> Iterator[list]:
     yield ["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"]
     for export in payload["exports"]:
         for name, entries in sorted(export["operators"].items()):
-            for i, row in enumerate(entries):
-                for kcol, (re, im) in enumerate(row):
-                    yield [export["j"], repr(export["r"]), name, i, kcol,
-                           *_csv_complex(complex(re, im))]
+            for i, row in enumerate(entries.tolist()):
+                for kcol, value in enumerate(row):
+                    yield [export["j"], repr(export["r"]), name, i, kcol, *_csv_complex(value)]
 
 
 def _verify_rows(report: dict) -> Iterator[list]:
@@ -350,19 +339,126 @@ def _verify_rows(report: dict) -> Iterator[list]:
                repr(check["residual"]), repr(check["tolerance"]), check["pass"]]
 
 
+# ---------------------------------------------------------------------------
+# the JSON writer: the bytes json.dump writes with a two-space indent, produced
+# by fixed text templates. json serves an indent only from its pure-Python encoder.
+
+_quote = json.encoder.encode_basestring_ascii
+# rows per chunk of table output
+_CHUNK_ROWS = 2048
+
+
+def _indent(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _json_chunks(value, level: int, open_ids: set[int]) -> Iterator[str]:
+    """value as json.dump with a two-space indent writes it at nesting level, in chunks.
+
+    Beyond json's types, a complex ndarray is written as its nested [re, im]
+    lists, and a _Block as its rows, spliced into the enclosing list.
+    """
+    if isinstance(value, str):
+        yield _quote(value)
+    elif value is None or isinstance(value, (int, float)):
+        yield json.dumps(value)  # json's own spelling: true, null, NaN, 1e+20
+    elif isinstance(value, np.ndarray):
+        yield _array_text(value, level)
+    elif isinstance(value, _Block):
+        yield from _block_rows(value, level)
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            yield "{}" if isinstance(value, dict) else "[]"
+            return
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(value))
+        separator = "," + _indent(level + 1)
+        if isinstance(value, dict):
+            lead = "{" + _indent(level + 1)
+            for key, item in value.items():
+                yield lead + _quote(key) + ": "
+                yield from _json_chunks(item, level + 1, open_ids)
+                lead = separator
+            yield _indent(level) + "}"
+        else:
+            lead = "[" + _indent(level + 1)
+            for item in value:
+                yield lead
+                yield from _json_chunks(item, level + 1, open_ids)
+                lead = separator
+            yield _indent(level) + "]"
+        open_ids.remove(id(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _nest(texts: Iterator[str], size: int, level: int) -> Iterator[str]:
+    """Each run of size texts as one JSON list at level."""
+    head, separator, tail = "[" + _indent(level + 1), "," + _indent(level + 1), _indent(level) + "]"
+    while group := list(itertools.islice(texts, size)):
+        yield head + separator.join(group) + tail
+
+
+def _array_text(values: np.ndarray, level: int) -> str:
+    """A complex array as its nested lists of [re, im] pairs at level, one template per depth."""
+    floats = iter(np.asarray(values, dtype=complex).ravel().view(np.float64).tolist())
+    depth = level + values.ndim
+    pair = "[" + _indent(depth + 1) + "%r," + _indent(depth + 1) + "%r" + _indent(depth) + "]"
+    texts = map(pair.__mod__, zip(floats, floats))
+    for size in reversed(values.shape):
+        depth -= 1
+        texts = _nest(texts, size, depth)
+    return "".join(texts)
+
+
+def _block_rows(block: _Block, level: int) -> Iterator[str]:
+    """The rows of a block as the list items {"labels", "value"[, "exact"]} at level.
+
+    Every label is quoted once; each row fills one template with its axis labels,
+    the repr of its re and im (json's spelling of a finite float) and its exact text.
+    """
+    inner, item = _indent(level + 1), _indent(level + 2)
+    slots = [_quote(text) for text in block.fixed] + ["%s"] * len(block.axes)
+    template = ("{" + inner + '"labels": [' + item + ("," + item).join(slots) + inner + "],"
+                + inner + '"value": [' + item + "%r," + item + "%r" + inner + "]"
+                + ("," + inner + '"exact": %s' if block.exact else "") + _indent(level) + "}")
+    labels = itertools.product(*([_quote(text) for text in axis] for axis in block.axes))
+    exact = map(_quote, block.exact or ())
+    floats = np.asarray(block.values, dtype=complex).ravel().view(np.float64)
+    lead, separator = "", "," + _indent(level)
+    for start in range(0, floats.size, 2 * _CHUNK_ROWS):
+        chunk = iter(floats[start:start + 2 * _CHUNK_ROWS].tolist())
+        tails = zip(chunk, chunk, exact) if block.exact else zip(chunk, chunk)
+        rows = (row + tail for row, tail in zip(itertools.islice(labels, _CHUNK_ROWS), tails))
+        yield lead + separator.join(map(template.__mod__, rows))
+        lead = separator
+
+
 def emit(document: dict | Iterable[list], fmt: str, path: str | None) -> None:
     """Stream a JSON payload (dict) or CSV rows (header first) to stdout, in place to an
     existing device or FIFO, or to a temp file renamed over path unless something raises.
+
+    If the reader of stdout closes it early, the process exits 141 (128 + SIGPIPE).
     """
     def write(fh) -> None:
         if fmt == "json":
-            json.dump(document, fh, indent=2)
+            for chunk in _json_chunks(document, 0, set()):
+                fh.write(chunk)
             fh.write("\n")
         else:
             csv.writer(fh).writerows(document)
 
     if path is None:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # point fd 1 at devnull, so that the flush at interpreter exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise SystemExit(141) from None
         return
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:

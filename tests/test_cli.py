@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -396,6 +397,28 @@ class TestExportOps:
     def test_missing_j_exits_two(self, capsys):
         assert run_main("export-ops") == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_entry_exits_two_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                           fmt):
+        real_build = cli.build_spin_ops
+
+        def nan_ops(space):
+            ops = real_build(space)
+            h = ops.h.copy()
+            h[0, -1] = complex("nan")
+            return dataclasses.replace(ops, h=h)
+
+        monkeypatch.setattr(cli, "build_spin_ops", nan_ops)
+        message = "error: export-ops --j 1 --r 0.37: operator h has a non-finite entry"
+        assert run_main("export-ops", "--j", "1", "--r", "0.37", "--format", fmt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        out = tmp_path / "ops.out"
+        assert run_main("export-ops", "--j", "1", "--r", "0.37", "--format", fmt,
+                        "--output", str(out)) == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):
@@ -622,13 +645,36 @@ def forbid_work(monkeypatch):
         monkeypatch.setattr(cli, name, no_work)
 
 
+def block_rows(block):
+    """The rows of a table block as the dicts the JSON writer spells out."""
+    for labels, value, text in zip(itertools.product(*block.axes), block.values.ravel().tolist(),
+                                   block.exact or itertools.repeat(None)):
+        row = {"labels": [*block.fixed, *labels], "value": [float(value.real), float(value.imag)]}
+        if text is not None:
+            row["exact"] = text
+        yield row
+
+
+def plain(document):
+    """A document with its arrays and table blocks turned into lists and dicts, for json.dumps."""
+    if isinstance(document, dict):
+        return {key: plain(value) for key, value in document.items()}
+    if isinstance(document, np.ndarray):
+        return np.stack([document.real, document.imag], axis=-1).tolist()
+    if isinstance(document, (list, tuple)):
+        return [row for item in document
+                for row in (block_rows(item) if isinstance(item, cli._Block) else [plain(item)])]
+    return document
+
+
 class TestStreamedWriter:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", WRITER_JOBS, ids=lambda argv: " ".join(argv[:3]))
     def test_bytes_equal_the_whole_string_formula(self, argv, fmt, tmp_path, capsys,
                                                   monkeypatch):
         # record each document as emit consumes it, then rebuild the output the
-        # way it was built before streaming: one string from json.dumps or a StringIO
+        # way it was built before streaming: one string from json.dumps, with the
+        # arrays and table blocks spelled out as lists and row dicts, or a StringIO
         documents = []
         real_emit = cli.emit
 
@@ -646,7 +692,7 @@ class TestStreamedWriter:
         assert run_main(*argv, "--format", fmt, "--output", str(out)) == 0
         assert run_main(*argv, "--format", fmt) == 0
         stdout = capsys.readouterr().out
-        to_file, to_stdout = documents
+        to_file, to_stdout = map(plain, documents)
         assert to_file == to_stdout
         if fmt == "json":
             reference = json.dumps(to_file, indent=2) + "\n"
@@ -658,6 +704,29 @@ class TestStreamedWriter:
         assert out.read_bytes() == reference.encode("utf-8")
         assert stdout == reference
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("argv", [
+        ["tabulate-standard", "--symbol", "sixj", "--labels", "3/2,1,5/2,2,3/2,1"],  # no axes
+        ["export-ops", "--j", "0"],
+        ["tabulate-cg", "--j1", "2", "--j2", "3/2", "--r=1e20,-1e20,123456789/7,-5/3"],
+        ["tabulate-standard", "--symbol", "threejm", "--j1", "1", "--j2", "3/2", "--j3", "1/2"],
+        ["verify", "--j-max", "1/2", "--k", "2", "--r", "0"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_json_layout_is_json_dumps_indent_two(self, argv, capsys):
+        assert run_main(*argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_negative_zero_keeps_its_sign(self, capsys, monkeypatch):
+        def negative_zero_tensor(sp1, sp2, sp):
+            return np.full((sp1.dim, sp2.dim, sp.dim), complex(-0.0, -0.0))
+
+        monkeypatch.setattr(cli, "cg_nonstandard_tensor", negative_zero_tensor)
+        assert run_main("tabulate-cg", "--j1", "1/2", "--j2", "1/2") == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert {tuple(map(repr, row["value"])) for row in json.loads(out)["rows"]} == {
+            ("-0.0", "-0.0")}
 
     def test_csv_table_rows_are_generated_lazily(self):
         config = cli.JobConfig(command="tabulate-cg", j1=HalfInt(1), j2=HalfInt(1))
@@ -780,6 +849,13 @@ def test_csv_table_memory_does_not_grow_with_rows():
     assert large - small < 15, (small, large)
 
 
+def test_json_table_memory_does_not_grow_with_rows():
+    # the JSON rows are written block by block from templates, never held as a list
+    small = peak_rss_mb("tabulate-cg", "--j1", "1", "--j2", "1", "--format", "json")
+    large = peak_rss_mb("tabulate-cg", "--j1", "8", "--j2", "8", "--format", "json")
+    assert large - small < 15, (small, large)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -789,6 +865,22 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["rows"][0]["exact"] == "1/6"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_stdout_exits_141_quietly(self, fmt):
+        # about 1.5 MB of output: the job is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wigner_nonstd.cli", "tabulate-cg", "--j1", "4", "--j2", "4",
+             "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert err == b""
+        assert proc.returncode == 141
 
     def test_bad_flag_value_exits_two(self):
         proc = subprocess.run(
