@@ -23,7 +23,8 @@ MAX_ROWS rows) before any byte is written. A config file in key = value form
 may supply any long flag's value; other keys are refused, and explicit flags
 win.
 Exit status: 0 success, 1 verification failure, 2 bad arguments, 141 stdout
-closed by its reader before the output was written (128 + SIGPIPE).
+or an --output FIFO closed by its reader before the output was written
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -439,7 +440,8 @@ def emit(document: dict | Iterable[list], fmt: str, path: str | None) -> None:
     """Stream a JSON payload (dict) or CSV rows (header first) to stdout, in place to an
     existing device or FIFO, or to a temp file renamed over path unless something raises.
 
-    If the reader of stdout closes it early, the process exits 141 (128 + SIGPIPE).
+    If the reader of stdout or of the FIFO closes it early, the process exits 141
+    (128 + SIGPIPE) with nothing on stderr.
     """
     def write(fh) -> None:
         if fmt == "json":
@@ -449,20 +451,22 @@ def emit(document: dict | Iterable[list], fmt: str, path: str | None) -> None:
         else:
             csv.writer(fh).writerows(document)
 
-    if path is None:
+    if path is None or (os.path.exists(path) and not os.path.isfile(path)):
         try:
-            write(sys.stdout)
-            sys.stdout.flush()
+            if path is None:
+                write(sys.stdout)
+                sys.stdout.flush()
+            else:
+                # a failed flush in close() still closes the descriptor, and is caught here
+                with open(path, "w", encoding="utf-8") as fh:
+                    write(fh)
         except BrokenPipeError:
-            # point fd 1 at devnull, so that the flush at interpreter exit cannot raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            if path is None:
+                # point fd 1 at devnull, so that the flush at interpreter exit cannot raise again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
             raise SystemExit(141) from None
-        return
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            write(fh)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0)

@@ -7,8 +7,8 @@ float is the only lossy step, and happens only at the caller's request.
 
 The dense float tensors cg_tensor and threejm_tensor come from one integer
 Racah sum per triad (j1, j2, j), with the triad's factorials shared by
-every entry, and leave no per-coefficient cache entry behind. The
-per-entry functions (_cg_twice, cg, threejm, cg_float) are their oracle.
+every entry. The per-entry functions (cg, threejm, cg_float) are their
+oracle. Nothing here is memoized: every call computes its value afresh.
 Each tensor entry is sign * sqrt(num / den) with num / den the entry's
 exact square in integers; Python's int / int is correctly rounded, as
 Fraction.__float__ is, so the tensors equal the per-entry floats bit for
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -214,8 +213,13 @@ def _as_int(twice_value: int) -> int:
     return twice_value // 2
 
 
-@lru_cache(maxsize=None)
-def _cg_twice(tj1: int, tj2: int, tm1: int, tm2: int, tj: int, tm: int) -> ExactSqrtRational:
+def cg(j1: HalfInt, j2: HalfInt, m1: HalfInt, m2: HalfInt, j: HalfInt, m: HalfInt) -> ExactSqrtRational:
+    """Clebsch-Gordan coefficient (j1 j2 m1 m2 | j m), Condon-Shortley convention.
+
+    Total on all half-integer labels: any selection-rule violation (m sum,
+    coupling range, projection range or parity) yields an exact zero.
+    """
+    tj1, tj2, tm1, tm2, tj, tm = j1.twice, j2.twice, m1.twice, m2.twice, j.twice, m.twice
     if tm1 + tm2 != tm:
         return ExactSqrtRational.zero()
     if not (abs(tj1 - tj2) <= tj <= tj1 + tj2) or (tj1 + tj2 + tj) % 2 != 0:
@@ -264,19 +268,10 @@ def _cg_twice(tj1: int, tj2: int, tm1: int, tm2: int, tj: int, tm: int) -> Exact
     return ExactSqrtRational.from_rational_times_sqrt(total, prefactor)
 
 
-def cg(j1: HalfInt, j2: HalfInt, m1: HalfInt, m2: HalfInt, j: HalfInt, m: HalfInt) -> ExactSqrtRational:
-    """Clebsch-Gordan coefficient (j1 j2 m1 m2 | j m), Condon-Shortley convention.
-
-    Total on all half-integer labels: any selection-rule violation (m sum,
-    coupling range, projection range or parity) yields an exact zero.
-    """
-    return _cg_twice(j1.twice, j2.twice, m1.twice, m2.twice, j.twice, m.twice)
-
-
 def threejm(j1: HalfInt, j2: HalfInt, j3: HalfInt,
             m1: HalfInt, m2: HalfInt, m3: HalfInt) -> ExactSqrtRational:
     """Wigner 3-jm symbol, via (-1)^(j1-j2-m3) (j1 j2 m1 m2 | j3 -m3)/sqrt(2j3+1)."""
-    value = _cg_twice(j1.twice, j2.twice, m1.twice, m2.twice, j3.twice, -m3.twice)
+    value = cg(j1, j2, m1, m2, j3, -m3)
     if value.is_zero():
         return value
     phase = ExactSqrtRational.from_sign(_as_int(j1.twice - j2.twice - m3.twice))
@@ -299,8 +294,14 @@ def _triads_ok(*triads: tuple[int, int, int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _sixj_twice(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> ExactSqrtRational:
+def sixj(j1: HalfInt, j2: HalfInt, j3: HalfInt,
+         j4: HalfInt, j5: HalfInt, j6: HalfInt) -> ExactSqrtRational:
+    """6-j symbol {j1 j2 j3; j4 j5 j6} by the Racah single-sum formula.
+
+    Exact zero unless all four triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6),
+    (j4 j5 j3) satisfy the triangle rule.
+    """
+    tj1, tj2, tj3, tj4, tj5, tj6 = j1.twice, j2.twice, j3.twice, j4.twice, j5.twice, j6.twice
     if not _triads_ok((tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6), (tj4, tj5, tj3)):
         return ExactSqrtRational.zero()
 
@@ -329,20 +330,15 @@ def _sixj_twice(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> E
     return ExactSqrtRational.from_rational_times_sqrt(total, radicand)
 
 
-def sixj(j1: HalfInt, j2: HalfInt, j3: HalfInt,
-         j4: HalfInt, j5: HalfInt, j6: HalfInt) -> ExactSqrtRational:
-    """6-j symbol {j1 j2 j3; j4 j5 j6} by the Racah single-sum formula.
+def ninej(j1: HalfInt, j2: HalfInt, j3: HalfInt,
+          j4: HalfInt, j5: HalfInt, j6: HalfInt,
+          j7: HalfInt, j8: HalfInt, j9: HalfInt) -> ExactSqrtRational:
+    """9-j symbol as the single sum over x of (-1)^(2x) (2x+1) times three 6-j symbols.
 
-    Exact zero unless all four triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6),
-    (j4 j5 j3) satisfy the triangle rule.
+    Exact zero on any row or column triangle failure.
     """
-    return _sixj_twice(j1.twice, j2.twice, j3.twice, j4.twice, j5.twice, j6.twice)
-
-
-@lru_cache(maxsize=None)
-def _ninej_twice(tj1: int, tj2: int, tj3: int,
-                 tj4: int, tj5: int, tj6: int,
-                 tj7: int, tj8: int, tj9: int) -> ExactSqrtRational:
+    tj1, tj2, tj3, tj4, tj5, tj6, tj7, tj8, tj9 = (
+        x.twice for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9))
     rows = ((tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9))
     cols = ((tj1, tj4, tj7), (tj2, tj5, tj8), (tj3, tj6, tj9))
     if not _triads_ok(*rows, *cols):
@@ -355,26 +351,15 @@ def _ninej_twice(tj1: int, tj2: int, tj3: int,
     # addition suffices.
     total = ExactSqrtRational.zero()
     for tx in range(tx_lo, tx_hi + 1, 2):
+        x = HalfInt(tx)
         term = (
-            _sixj_twice(tj1, tj4, tj7, tj8, tj9, tx)
-            * _sixj_twice(tj2, tj5, tj8, tj4, tx, tj6)
-            * _sixj_twice(tj3, tj6, tj9, tx, tj1, tj2)
+            sixj(j1, j4, j7, j8, j9, x)
+            * sixj(j2, j5, j8, j4, x, j6)
+            * sixj(j3, j6, j9, x, j1, j2)
         )
         weight = ExactSqrtRational.from_rational(Fraction((-1) ** tx * (tx + 1)))
         total = total + weight * term
     return total
-
-
-def ninej(j1: HalfInt, j2: HalfInt, j3: HalfInt,
-          j4: HalfInt, j5: HalfInt, j6: HalfInt,
-          j7: HalfInt, j8: HalfInt, j9: HalfInt) -> ExactSqrtRational:
-    """9-j symbol as the single sum over x of (-1)^(2x) (2x+1) times three 6-j symbols.
-
-    Exact zero on any row or column triangle failure.
-    """
-    return _ninej_twice(j1.twice, j2.twice, j3.twice,
-                        j4.twice, j5.twice, j6.twice,
-                        j7.twice, j8.twice, j9.twice)
 
 
 def metric_standard(j: HalfInt, m: HalfInt, mp: HalfInt) -> ExactSqrtRational:
@@ -390,15 +375,15 @@ def metric_standard(j: HalfInt, m: HalfInt, mp: HalfInt) -> ExactSqrtRational:
 # Float conveniences used by the non-standard layer and by tabulation.
 
 def cg_float(j1: HalfInt, j2: HalfInt, m1: HalfInt, m2: HalfInt, j: HalfInt, m: HalfInt) -> float:
-    return float(_cg_twice(j1.twice, j2.twice, m1.twice, m2.twice, j.twice, m.twice))
+    return float(cg(j1, j2, m1, m2, j, m))
 
 
 def _cg_triad_squares(tj1: int, tj2: int, tj: int):
     """Yield (i1, i2, i, t, num, den) for every CG of one triad with a nonzero sum.
 
     i1, i2, i index m1, m2, m ascending, and (j1 j2 m1 m2 | j m) equals
-    sign(t) * sqrt(num / den) exactly. It is Racah's sum of _cg_twice taken
-    in integers: with N_k = P / D_k over the common denominator
+    sign(t) * sqrt(num / den) exactly. It is cg's Racah sum taken in
+    integers: with N_k = P / D_k over the common denominator
     P = k_hi! (a-k_lo)! (j1-m1-k_lo)! (j2+m2-k_lo)! (x+k_hi)! (y+k_hi)!,
     x = j-j2+m1 and y = j-j1-m2, each N_{k-1} follows from N_k by the exact
     ratio k (x+k) (y+k) / ((a-k+1) (j1-m1-k+1) (j2+m2-k+1)). A non-triangle
@@ -435,11 +420,12 @@ def _cg_triad_squares(tj1: int, tj2: int, tj: int):
                 yield i1, i2, i, t, num * t * t, den_triad * p * p
 
 
-@lru_cache(maxsize=None)
-def _cg_tensor_twice(tj1: int, tj2: int, tj: int) -> np.ndarray:
+def cg_tensor(j1: HalfInt, j2: HalfInt, j: HalfInt) -> np.ndarray:
+    """Dense float array of (j1 j2 m1 m2 | j m), indices ascending in m; read-only."""
+    tj1, tj2, tj = j1.twice, j2.twice, j.twice
     out = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
     # int / int is correctly rounded, as Fraction.__float__ is, so each entry
-    # is bit-identical to float(_cg_twice(...)).
+    # is bit-identical to float(cg(...)).
     for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj):
         root = math.sqrt(num / den)
         out[i1, i2, i] = root if t > 0 else -root
@@ -447,13 +433,9 @@ def _cg_tensor_twice(tj1: int, tj2: int, tj: int) -> np.ndarray:
     return out
 
 
-def cg_tensor(j1: HalfInt, j2: HalfInt, j: HalfInt) -> np.ndarray:
-    """Dense float array of (j1 j2 m1 m2 | j m), indices ascending in m; read-only, cached."""
-    return _cg_tensor_twice(j1.twice, j2.twice, j.twice)
-
-
-@lru_cache(maxsize=None)
-def _threejm_tensor_twice(tj1: int, tj2: int, tj3: int) -> np.ndarray:
+def threejm_tensor(j1: HalfInt, j2: HalfInt, j3: HalfInt) -> np.ndarray:
+    """Dense float array of the 3-jm symbol, indices ascending in m; read-only."""
+    tj1, tj2, tj3 = j1.twice, j2.twice, j3.twice
     out = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
     # The CG entry at m = m1+m2 is the 3-jm entry at m3 = -m, index tj3 - i.
     # 2j3+1 goes into the denominator before the one rounding division, as
@@ -465,8 +447,3 @@ def _threejm_tensor_twice(tj1: int, tj2: int, tj3: int) -> np.ndarray:
         out[i1, i2, tj3 - i] = -root if (t < 0) != odd_phase else root
     out.setflags(write=False)
     return out
-
-
-def threejm_tensor(j1: HalfInt, j2: HalfInt, j3: HalfInt) -> np.ndarray:
-    """Dense float array of the 3-jm symbol, indices ascending in m."""
-    return _threejm_tensor_twice(j1.twice, j2.twice, j3.twice)

@@ -258,7 +258,7 @@ def quon_restriction_report(rep: QuonRep, r: float) -> ResidualReport:
     max-abs differences against build_spin_ops output.
     """
     k = rep.k
-    space = SpinSpace(j=HalfInt(k - 1), r=r)
+    space = spin_space_for_k(k, r)
     ops = build_spin_ops(space)
 
     h_block, h_leak = restrict_fock_operator(build_h(rep), k)
@@ -274,4 +274,4 @@ def quon_restriction_report(rep: QuonRep, r: float) -> ResidualReport:
 
 def spin_space_for_k(k: int, r: float) -> SpinSpace:
     """The multiplet the k-th root-of-unity oscillator pair singles out."""
-    return SpinSpace(j=HalfInt(k - 1), r=float(r))
+    return SpinSpace(j=HalfInt(k - 1), r=r)

@@ -373,23 +373,30 @@ def _exact_threejm_symmetry_violations(limit: HalfInt) -> int:
     return bad
 
 
+# The nine symmetry images of {j1 j2 j3; j4 j5 j6}, each as the argument positions
+# it reads: the six column permutations (the identity among them), then the three
+# swaps of upper and lower entries in two columns.
+_SIXJ_IMAGES = [perm + tuple(p + 3 for p in perm) for perm in itertools.permutations(range(3))] + [
+    (3, 4, 2, 0, 1, 5),
+    (3, 1, 5, 0, 4, 2),
+    (0, 4, 5, 3, 1, 2),
+]
+
+
 def _exact_sixj_symmetry_violations(limit: HalfInt) -> int:
-    """Column permutations and row-pair swaps as exact equalities."""
-    bad = 0
-    for args in itertools.product(_spins(limit), repeat=6):
-        j1, j2, j3, j4, j5, j6 = args
-        base = sixj(*args)
-        columns = ((j1, j4), (j2, j5), (j3, j6))
-        images = [tuple(columns[p][0] for p in perm) + tuple(columns[p][1] for p in perm)
-                  for perm in itertools.permutations(range(3))]
-        images += [
-            (j4, j5, j3, j1, j2, j6),
-            (j4, j2, j6, j1, j5, j3),
-            (j1, j5, j6, j4, j2, j3),
-        ]
-        if any(sixj(*image) != base for image in images):
-            bad += 1
-    return bad
+    """Column permutations and row-pair swaps as exact equalities.
+
+    Each symbol on the grid is computed once; the image of every label set
+    under a symmetry is read from a transpose of that array, so each
+    comparison is between two separately computed values.
+    """
+    spins = _spins(limit)
+    values = np.fromiter((sixj(*args) for args in itertools.product(spins, repeat=6)),
+                         dtype=object, count=len(spins) ** 6).reshape((len(spins),) * 6)
+    differs = np.zeros(values.shape, dtype=bool)
+    for image in _SIXJ_IMAGES:
+        differs |= np.transpose(values, np.argsort(image)) != values
+    return int(np.count_nonzero(differs))
 
 
 def standard_suite(config: VerifyConfig) -> list[CheckResult]:

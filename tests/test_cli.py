@@ -572,6 +572,29 @@ class TestOutputFiles:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_fifo_exits_141_quietly(self, tmp_path, fmt):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+
+        def read_100_bytes_and_close():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read(100))
+
+        reader = threading.Thread(target=read_100_bytes_and_close, daemon=True)
+        reader.start()
+        # about 1.5 MB of output: the job is still writing when the reader goes away
+        proc = subprocess.run(
+            [sys.executable, "-m", "wigner_nonstd.cli", "tabulate-cg", "--j1", "4", "--j2", "4",
+             "--format", fmt, "--output", str(fifo)],
+            capture_output=True, timeout=120)
+        reader.join(timeout=60)
+        assert len(received[0]) == 100
+        assert proc.stderr == b""
+        assert proc.returncode == 141
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
     @pytest.mark.parametrize("target", ["missing/table.json", "."])
     def test_unwritable_output_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                          target):

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import json
 import threading
 
@@ -71,3 +72,41 @@ def test_tol_overrides_every_tolerance():
     results = run_suites(config)
     assert {c.name for c in results} == set(DEFAULT_TOLERANCES)
     assert {c.tolerance for c in results} == {1e-3}
+
+
+def _negated_when_j1_exceeds_j2(symbol):
+    """symbol with every nonzero value negated where 2j1 > 2j2."""
+    def mutant(*args):
+        value = symbol(*args)
+        return -value if args[0].twice > args[1].twice else value
+    return mutant
+
+
+def _sixj_violations_by_loop(limit):
+    """The 6-j symmetry count as a loop over label sets, each image a fresh sixj call."""
+    bad = 0
+    for args in itertools.product(verify._spins(limit), repeat=6):
+        j1, j2, j3, j4, j5, j6 = args
+        base = verify.sixj(*args)
+        columns = ((j1, j4), (j2, j5), (j3, j6))
+        images = [tuple(columns[p][0] for p in perm) + tuple(columns[p][1] for p in perm)
+                  for perm in itertools.permutations(range(3))]
+        images += [(j4, j5, j3, j1, j2, j6), (j4, j2, j6, j1, j5, j3), (j1, j5, j6, j4, j2, j3)]
+        if any(verify.sixj(*image) != base for image in images):
+            bad += 1
+    return bad
+
+
+# 551 and 267 are the counts of per-label-set loops; _sixj_violations_by_loop
+# keeps the 6-j one as the reference for the array form of the check.
+def test_sixj_symmetry_check_counts_a_sign_mutant_as_the_loop_does(monkeypatch):
+    assert verify._exact_sixj_symmetry_violations(verify.STANDARD_J_MAX) == 0
+    monkeypatch.setattr(verify, "sixj", _negated_when_j1_exceeds_j2(verify.sixj))
+    assert verify._exact_sixj_symmetry_violations(verify.STANDARD_J_MAX) == 551
+    assert _sixj_violations_by_loop(verify.STANDARD_J_MAX) == 551
+
+
+def test_threejm_symmetry_check_counts_a_sign_mutant(monkeypatch):
+    assert verify._exact_threejm_symmetry_violations(verify.STANDARD_J_MAX) == 0
+    monkeypatch.setattr(verify, "threejm", _negated_when_j1_exceeds_j2(verify.threejm))
+    assert verify._exact_threejm_symmetry_violations(verify.STANDARD_J_MAX) == 267
