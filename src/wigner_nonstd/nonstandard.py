@@ -187,6 +187,14 @@ def cg_nonstandard(l1: AlphaLabel, l2: AlphaLabel, l: AlphaLabel) -> complex:
     return total / math.sqrt(l1.dim * l2.dim * l.dim)
 
 
+def _contract_legs(core: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
+    """out[x, y, z] = sum core[a, b, c] b1[a, x] b2[b, y] b3[c, z], one matmul per leg: c, b, a."""
+    d1, d2, d3 = core.shape
+    out = (core.reshape(d1 * d2, d3) @ b3).reshape(d1, d2, d3)
+    out = np.matmul(b2.T, out)  # batched over a
+    return (b1.T @ out.reshape(d1, d2 * d3)).reshape(d1, d2, d3)
+
+
 @lru_cache(maxsize=None)
 def cg_nonstandard_tensor(space1: SpinSpace, space2: SpinSpace, space: SpinSpace) -> np.ndarray:
     """Array of coupling coefficients indexed [s1, s2, s]."""
@@ -195,7 +203,7 @@ def cg_nonstandard_tensor(space1: SpinSpace, space2: SpinSpace, space: SpinSpace
     m2 = basis_matrix(space2)
     m = basis_matrix(space)
     core = cg_tensor(space1.j, space2.j, space.j)
-    out = np.einsum("ax,by,cz,abc->xyz", m1.conj(), m2.conj(), m, core, optimize=True)
+    out = _contract_legs(core, m1.conj(), m2.conj(), m)
     out.setflags(write=False)
     return out
 
@@ -214,11 +222,12 @@ def verify_cg_orthonormality(space1: SpinSpace, space2: SpinSpace) -> ResidualRe
         tensor = cg_nonstandard_tensor(space1, space2, SpinSpace(j, r))
         blocks.append(tensor.reshape(d1 * d2, j.twice + 1))
     w = np.concatenate(blocks, axis=1)
-    eye = np.eye(d1 * d2)
-    res = {
-        "rows_orthonormal": float(np.max(np.abs(w.conj().T @ w - eye))),
-        "complete": float(np.max(np.abs(w @ w.conj().T - eye))),
-    }
+    w_dag = w.conj().T
+    res = {}
+    for name, left, right in (("rows_orthonormal", w_dag, w), ("complete", w, w_dag)):
+        gram = left @ right
+        gram.flat[::d1 * d2 + 1] -= 1.0  # minus the identity, in place
+        res[name] = float(np.max(np.abs(gram)))
     return ResidualReport(res)
 
 
@@ -256,7 +265,7 @@ def fbar_tensor(space1: SpinSpace, space2: SpinSpace, space3: SpinSpace) -> np.n
     m2 = basis_matrix(space2)
     m3 = basis_matrix(space3)
     core = threejm_tensor(space1.j, space2.j, space3.j)
-    out = np.einsum("ax,by,cz,abc->xyz", m1.conj(), m2.conj(), m3.conj(), core, optimize=True)
+    out = _contract_legs(core, m1.conj(), m2.conj(), m3.conj())
     out.setflags(write=False)
     return out
 
@@ -367,8 +376,8 @@ def tensor_to_alpha(tensor: TensorOperator) -> np.ndarray:
     mk = basis_matrix(tensor.rank_space)
     m1 = basis_matrix(tensor.bra_space)
     m2 = basis_matrix(tensor.ket_space)
-    mixed = np.einsum("qs,qab->sab", mk, tensor.components)
-    return np.einsum("ax,sab,by->sxy", m1.conj(), mixed, m2)
+    mixed = np.tensordot(mk, tensor.components, axes=(0, 0))  # [s_k, a, b]
+    return m1.conj().T @ mixed @ m2
 
 
 @dataclass(frozen=True)
@@ -426,9 +435,10 @@ def recoupling_invariance_check(j1: HalfInt, j2: HalfInt, j3: HalfInt,
     b = cg_nonstandard_tensor(sp12, sp3, sp)     # [s12, s3, s]
     c = cg_nonstandard_tensor(sp2, sp3, sp23)    # [s2, s3, s23]
     d = cg_nonstandard_tensor(sp1, sp23, sp)     # [s1, s23, s]
-    left = np.einsum("abe,ecs->abcs", a, b, optimize=True)
-    right = np.einsum("bcf,afs->abcs", c, d, optimize=True)
-    values = np.einsum("abcs,abcs->s", left.conj(), right, optimize=True)
+    left = (a.reshape(-1, sp12.dim) @ b.reshape(sp12.dim, -1)).reshape(-1, sp.dim)  # [(s1 s2 s3), s]
+    right = c.reshape(-1, sp23.dim) @ d.transpose(1, 0, 2).reshape(sp23.dim, -1)  # [(s2 s3), (s1 s)]
+    right = right.reshape(-1, sp1.dim, sp.dim).transpose(1, 0, 2).reshape(-1, sp.dim)
+    values = np.sum(left.conj() * right, axis=0)
 
     tsum = (j1.twice + j2.twice + j3.twice + j.twice) // 2
     sign = -1.0 if tsum % 2 else 1.0

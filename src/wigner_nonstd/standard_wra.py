@@ -387,7 +387,9 @@ def _cg_triad_squares(tj1: int, tj2: int, tj: int):
     P = k_hi! (a-k_lo)! (j1-m1-k_lo)! (j2+m2-k_lo)! (x+k_hi)! (y+k_hi)!,
     x = j-j2+m1 and y = j-j1-m2, each N_{k-1} follows from N_k by the exact
     ratio k (x+k) (y+k) / ((a-k+1) (j1-m1-k+1) (j2+m2-k+1)). A non-triangle
-    triad yields nothing.
+    triad yields nothing. The sum runs once per mirror pair (i1, i2) <->
+    (2j1-i1, 2j2-i2): (j1 j2 -m1 -m2 | j -m) = (-1)^a (j1 j2 m1 m2 | j m) with
+    a = j1+j2-j, so the mirror entry has the same (num, den) and t times (-1)^a.
     """
     if not _triads_ok((tj1, tj2, tj)):
         return
@@ -397,10 +399,12 @@ def _cg_triad_squares(tj1: int, tj2: int, tj: int):
     den_triad = _fact(a + b + c + 1)
     f = _FACTORIALS
     num_triad = (tj + 1) * f[a] * f[b] * f[c]
-    for i1 in range(tj1 + 1):
+    for i1 in range(tj1 // 2 + 1):
         j1m_m1, j1p_m1 = tj1 - i1, i1   # j1-m1, j1+m1
         x = b - j1m_m1                  # j-j2+m1
-        for i2 in range(max(0, a - i1), min(tj2, a - i1 + tj) + 1):
+        # at the middle row i1 = j1, only i2 <= j2 comes first in its mirror pair
+        i2_hi = min(tj2 // 2 if 2 * i1 == tj1 else tj2, a - i1 + tj)
+        for i2 in range(max(0, a - i1), i2_hi + 1):
             j2m_m2, j2p_m2 = tj2 - i2, i2
             i = i1 + i2 - a             # index of m = m1+m2
             y = c - j2p_m2              # j-j1-m2
@@ -414,10 +418,12 @@ def _cg_triad_squares(tj1: int, tj2: int, tj: int):
                 n = n * k * (x + k) * (y + k) // ((a - k + 1) * (j1m_m1 - k + 1) * (j2p_m2 - k + 1))
             t += -n if k_lo % 2 else n
             if t:
-                p = (f[k_hi] * f[a - k_lo] * f[j1m_m1 - k_lo] * f[j2p_m2 - k_lo]
-                     * f[x + k_hi] * f[y + k_hi])
-                num = num_triad * f[i] * f[tj - i] * f[j1m_m1] * f[j1p_m1] * f[j2m_m2] * f[j2p_m2]
-                yield i1, i2, i, t, num * t * t, den_triad * p * p
+                den = den_triad * (f[k_hi] * f[a - k_lo] * f[j1m_m1 - k_lo] * f[j2p_m2 - k_lo]
+                                   * f[x + k_hi] * f[y + k_hi]) ** 2
+                num = num_triad * f[i] * f[tj - i] * f[j1m_m1] * f[j1p_m1] * f[j2m_m2] * f[j2p_m2] * t * t
+                yield i1, i2, i, t, num, den
+                if 2 * i1 != tj1 or 2 * i2 != tj2:
+                    yield tj1 - i1, tj2 - i2, tj - i, -t if a % 2 else t, num, den
 
 
 def cg_tensor(j1: HalfInt, j2: HalfInt, j: HalfInt) -> np.ndarray:

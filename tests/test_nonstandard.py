@@ -326,6 +326,69 @@ class TestCouplingCoefficients:
             assert abs(cg_nonstandard(l1, l2, l)) <= 1.0 + 1e-12
 
 
+# Unequal legs, one of them 2j = 0: a wrong axis in a reshape or transpose
+# cannot hide behind a symmetric shape here.
+UNEQUAL_TRIADS = [(0, 9, 9), (7, 16, 11), (16, 1, 15), (3, 0, 3), (12, 5, 9)]
+
+
+@pytest.mark.parametrize("tj1,tj2,tj3", UNEQUAL_TRIADS)
+@pytest.mark.parametrize("r", [0.37, -5 / 3])
+def test_tensor_routes_match_direct_sums_on_unequal_legs(tj1, tj2, tj3, r):
+    sp = [SpinSpace(H(t), r) for t in (tj1, tj2, tj3)]
+    coupling = cg_nonstandard_tensor(*sp)
+    symbol = fbar_tensor(*sp)
+    assert coupling.shape == symbol.shape == (tj1 + 1, tj2 + 1, tj3 + 1)
+    rng = np.random.default_rng(tj1 + 17 * tj2 + 289 * tj3)
+    picks = [(0, 0, 0), (tj1, tj2, tj3), (tj1, 0, tj3)]
+    picks += [tuple(int(rng.integers(0, t + 1)) for t in (tj1, tj2, tj3)) for _ in range(12)]
+    for s1, s2, s3 in picks:
+        labels = [AlphaLabel(space.j, r, s) for space, s in zip(sp, (s1, s2, s3))]
+        assert abs(coupling[s1, s2, s3] - cg_nonstandard(*labels)) < 1e-12
+        assert abs(symbol[s1, s2, s3] - fbar(*labels)) < 1e-12
+
+
+def reference_cg_tensor(sp1, sp2, sp, mp):
+    """(j1 j2 alpha1 alpha2 | j alpha; r) at mp's precision, flat in [s1, s2, s] order.
+
+    Exact CG squares from cg, and each basis phase from the label's exact
+    turns, so the only rounding is mpmath's.
+    """
+    from wigner_nonstd.standard_wra import cg
+
+    def root(value):
+        return value.sign * mp.sqrt(mp.mpf(value.magnitude_squared.numerator)
+                                    / value.magnitude_squared.denominator)
+
+    terms = []
+    for tm1 in range(-sp1.j.twice, sp1.j.twice + 1, 2):
+        for tm2 in range(-sp2.j.twice, sp2.j.twice + 1, 2):
+            value = cg(sp1.j, sp2.j, H(tm1), H(tm2), sp.j, H(tm1 + tm2))
+            if value.sign:
+                terms.append((tm1, tm2, root(value)))
+    norm = mp.sqrt(sp1.dim * sp2.dim * sp.dim)
+    out = []
+    for l1 in alpha_labels(sp1):
+        for l2 in alpha_labels(sp2):
+            for l in alpha_labels(sp):
+                total = mp.mpc(0)
+                for tm1, tm2, c in terms:
+                    turns = l.turns(tm1 + tm2) - l1.turns(tm1) - l2.turns(tm2)
+                    total += mp.expjpi(2 * mp.mpf(turns.numerator) / turns.denominator) * c
+                out.append(total / norm)
+    return out
+
+
+@pytest.mark.parametrize("tj1,tj2,tj,r", [(4, 4, 4, 0.37), (3, 4, 5, 0.25)])
+def test_cg_tensor_against_40_digit_reference(tj1, tj2, tj, r):
+    mpmath = pytest.importorskip("mpmath")
+    sp = [SpinSpace(H(t), r) for t in (tj1, tj2, tj)]
+    with mpmath.workdps(40):
+        reference = reference_cg_tensor(*sp, mpmath.mp)
+        tensor = cg_nonstandard_tensor(*sp).ravel()
+        worst = max(abs(mpmath.mpc(complex(z)) - ref) for z, ref in zip(tensor, reference))
+    assert worst <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # Symmetric 3-symbols
 
