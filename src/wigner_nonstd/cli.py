@@ -39,7 +39,7 @@ import stat
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -171,9 +171,8 @@ class JobConfig:
     j: HalfInt | None = None
     sixj_labels: tuple[HalfInt, ...] = ()
     symbol: str = "cg"
-    # None means "not given": tabulation falls back to r = 0, verify to its
-    # own four-value sweep
-    r_values: tuple[float, ...] | None = None
+    # a given --r is written here and into verify.r_values, so each default lives with its user
+    r_values: tuple[float, ...] = (0.0,)
     verify: VerifyConfig = field(default_factory=VerifyConfig)
     fmt: str = "json"
     output: str | None = None
@@ -491,17 +490,13 @@ def run(config: JobConfig) -> int:
     """Execute one job; returns the process exit status. Refusals come before any output."""
     if config.fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {config.fmt!r}")
-    r_values = config.r_values or (0.0,)
     if config.command in ("tabulate-cg", "tabulate-fbar", "tabulate-standard"):
-        emit(_format_table(_build_table(config, r_values), config.fmt), config.fmt, config.output)
+        emit(_format_table(_build_table(config, config.r_values), config.fmt), config.fmt, config.output)
         return 0
     if config.command == "export-ops":
-        payload, csv_rows = _export_ops_payload(config, r_values), _export_ops_rows
+        payload, csv_rows = _export_ops_payload(config, config.r_values), _export_ops_rows
     elif config.command == "verify":
-        vconfig = config.verify
-        if config.r_values is not None:
-            vconfig = replace(vconfig, r_values=config.r_values)
-        payload, csv_rows = report_dict(run_suites(vconfig), vconfig), _verify_rows
+        payload, csv_rows = report_dict(run_suites(config.verify), config.verify), _verify_rows
     else:
         raise ConfigError(f"unknown command {config.command!r}")
     emit(payload if config.fmt == "json" else csv_rows(payload), config.fmt, config.output)
@@ -589,7 +584,7 @@ def make_config(args: argparse.Namespace) -> JobConfig:
     if pick("symbol") is not None:
         config.symbol = pick("symbol")
     if pick("r") is not None:
-        config.r_values = parse_r_list(pick("r"))
+        config.r_values = config.verify.r_values = parse_r_list(pick("r"))
     if pick("k") is not None:
         config.verify.k_values = parse_k_list(pick("k"))
     if pick("j_max", "j-max") is not None:

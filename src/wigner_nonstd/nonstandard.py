@@ -29,6 +29,9 @@ from .standard_wra import cg_float, cg_tensor, sixj, threejm, threejm_tensor
 from .su2gen import (ResidualReport, SpinOperatorSet, SpinSpace, build_spin_ops, checked_winding,
                      winding_turns)
 
+# Entries per alpha-basis cache: above every measured working set (at most 1,141 entries).
+_CACHE_SIZE = 2048
+
 
 @dataclass(frozen=True)
 class AlphaLabel:
@@ -96,7 +99,7 @@ def overlap(space: SpinSpace, m: HalfInt, label: AlphaLabel) -> complex:
     return unit_phase(turns, 2 * dim) * (1.0 / math.sqrt(dim))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def basis_matrix(space: SpinSpace) -> np.ndarray:
     """Unitary M with M[m_index, s] = <j m | j alpha_s; r>, each entry as overlap.
 
@@ -156,35 +159,38 @@ def verify_eigenbasis(space: SpinSpace) -> ResidualReport:
     return ResidualReport(res)
 
 
-def _require_same_r(*spaces: SpinSpace) -> float:
+def _require_same_r(*spaces: SpinSpace | AlphaLabel) -> float:
     rs = {space.r for space in spaces}
     if len(rs) != 1:
         raise ValueError(f"cannot couple spaces with different winding parameters: {sorted(rs)}")
     return rs.pop()
 
 
-def cg_nonstandard(l1: AlphaLabel, l2: AlphaLabel, l: AlphaLabel) -> complex:
-    """Coupling coefficient (j1 j2 alpha1 alpha2 | j alpha; r), by direct sum.
-
-    Triple sum of the m-scheme coefficient against the basis phases:
-    the bra side carries conjugated phases for (1) and (2), the coupled
-    ket side the direct phase. The tensor route cg_nonstandard_tensor
-    computes the same numbers; keep both paths independent.
-    """
-    if l1.r != l2.r or l1.r != l.r:
-        raise ValueError("all three labels must share the same winding parameter r")
+def _direct_sum(l1: AlphaLabel, l2: AlphaLabel, l3: AlphaLabel, value) -> complex:
+    """Sum over (m1, m2) of value(j1, j2, m1, m2, j3, m = m1 + m2) against the basis phases,
+    conjugated for legs 1 and 2 and direct for leg 3, over sqrt(d1 d2 d3). The phases
+    are exact turns, and turns is linear in m, so -l3.turns(-m) is l3.turns(m)."""
+    _require_same_r(l1, l2, l3)
     total = 0.0 + 0.0j
     for tm1 in range(-l1.j.twice, l1.j.twice + 1, 2):
         for tm2 in range(-l2.j.twice, l2.j.twice + 1, 2):
             tm = tm1 + tm2
-            if abs(tm) > l.j.twice:
+            if abs(tm) > l3.j.twice:
                 continue
-            c = cg_float(l1.j, l2.j, HalfInt(tm1), HalfInt(tm2), l.j, HalfInt(tm))
+            c = value(l1.j, l2.j, HalfInt(tm1), HalfInt(tm2), l3.j, HalfInt(tm))
             if c == 0.0:
                 continue
-            turns = l.turns(tm) - l1.turns(tm1) - l2.turns(tm2)
+            turns = l3.turns(tm) - l1.turns(tm1) - l2.turns(tm2)
             total += unit_phase(turns.numerator, turns.denominator) * c
-    return total / math.sqrt(l1.dim * l2.dim * l.dim)
+    return total / math.sqrt(l1.dim * l2.dim * l3.dim)
+
+
+def cg_nonstandard(l1: AlphaLabel, l2: AlphaLabel, l: AlphaLabel) -> complex:
+    """Coupling coefficient (j1 j2 alpha1 alpha2 | j alpha; r), by direct sum of cg_float.
+
+    The tensor route cg_nonstandard_tensor computes the same numbers; keep both paths independent.
+    """
+    return _direct_sum(l1, l2, l, cg_float)
 
 
 def _contract_legs(core: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
@@ -195,17 +201,21 @@ def _contract_legs(core: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndar
     return (b1.T @ out.reshape(d1, d2 * d3)).reshape(d1, d2, d3)
 
 
-@lru_cache(maxsize=None)
-def cg_nonstandard_tensor(space1: SpinSpace, space2: SpinSpace, space: SpinSpace) -> np.ndarray:
-    """Array of coupling coefficients indexed [s1, s2, s]."""
-    _require_same_r(space1, space2, space)
-    m1 = basis_matrix(space1)
-    m2 = basis_matrix(space2)
-    m = basis_matrix(space)
-    core = cg_tensor(space1.j, space2.j, space.j)
-    out = _contract_legs(core, m1.conj(), m2.conj(), m)
+def _alpha_tensor(core, space1: SpinSpace, space2: SpinSpace, space3: SpinSpace,
+                  conjugate_third: bool) -> np.ndarray:
+    """Read-only core(j1, j2, j3) on the alpha-bases: legs 1 and 2 conjugated, leg 3 if asked."""
+    _require_same_r(space1, space2, space3)
+    m1, m2, m3 = basis_matrix(space1), basis_matrix(space2), basis_matrix(space3)
+    out = _contract_legs(core(space1.j, space2.j, space3.j), m1.conj(), m2.conj(),
+                         m3.conj() if conjugate_third else m3)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def cg_nonstandard_tensor(space1: SpinSpace, space2: SpinSpace, space: SpinSpace) -> np.ndarray:
+    """Array of coupling coefficients indexed [s1, s2, s]."""
+    return _alpha_tensor(cg_tensor, space1, space2, space, conjugate_third=False)
 
 
 def verify_cg_orthonormality(space1: SpinSpace, space2: SpinSpace) -> ResidualReport:
@@ -240,39 +250,19 @@ def fbar(l1: AlphaLabel, l2: AlphaLabel, l3: AlphaLabel) -> complex:
     route fbar_tensor computes the same numbers; keep both paths
     independent.
     """
-    if l1.r != l2.r or l1.r != l3.r:
-        raise ValueError("all three labels must share the same winding parameter r")
-    total = 0.0 + 0.0j
-    for tm1 in range(-l1.j.twice, l1.j.twice + 1, 2):
-        for tm2 in range(-l2.j.twice, l2.j.twice + 1, 2):
-            tm3 = -tm1 - tm2
-            if abs(tm3) > l3.j.twice:
-                continue
-            value = float(threejm(l1.j, l2.j, l3.j,
-                                  HalfInt(tm1), HalfInt(tm2), HalfInt(tm3)))
-            if value == 0.0:
-                continue
-            turns = -l1.turns(tm1) - l2.turns(tm2) - l3.turns(tm3)
-            total += unit_phase(turns.numerator, turns.denominator) * value
-    return total / math.sqrt(l1.dim * l2.dim * l3.dim)
+    # the 3-jm symbol at m3 = -m, in cg_float's argument order
+    return _direct_sum(l1, l2, l3, lambda j1, j2, m1, m2, j3, m:
+                       float(threejm(j1, j2, j3, m1, m2, -m)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def fbar_tensor(space1: SpinSpace, space2: SpinSpace, space3: SpinSpace) -> np.ndarray:
     """Array of the symmetric 3-symbols indexed [s1, s2, s3]."""
-    _require_same_r(space1, space2, space3)
-    m1 = basis_matrix(space1)
-    m2 = basis_matrix(space2)
-    m3 = basis_matrix(space3)
-    core = threejm_tensor(space1.j, space2.j, space3.j)
-    out = _contract_legs(core, m1.conj(), m2.conj(), m3.conj())
-    out.setflags(write=False)
-    return out
+    return _alpha_tensor(threejm_tensor, space1, space2, space3, conjugate_third=True)
 
 
 def verify_fbar_symmetry(space1: SpinSpace, space2: SpinSpace, space3: SpinSpace) -> ResidualReport:
     """Column-permutation and conjugation rules over all label triples."""
-    _require_same_r(space1, space2, space3)
     t123 = fbar_tensor(space1, space2, space3)
     t231 = fbar_tensor(space2, space3, space1)
     t213 = fbar_tensor(space2, space1, space3)
@@ -373,11 +363,8 @@ def tensor_to_alpha(tensor: TensorOperator) -> np.ndarray:
     T_alpha = sum_q M_k[q, s_k] T_q, and the operator indices with each
     multiplet's: out[s_k] = M1^dag T_alpha[s_k] M2.
     """
-    mk = basis_matrix(tensor.rank_space)
-    m1 = basis_matrix(tensor.bra_space)
-    m2 = basis_matrix(tensor.ket_space)
-    mixed = np.tensordot(mk, tensor.components, axes=(0, 0))  # [s_k, a, b]
-    return m1.conj().T @ mixed @ m2
+    return _contract_legs(tensor.components, basis_matrix(tensor.rank_space),
+                          basis_matrix(tensor.bra_space).conj(), basis_matrix(tensor.ket_space))
 
 
 @dataclass(frozen=True)

@@ -116,19 +116,11 @@ class ExactSqrtRational:
         return ExactSqrtRational(sign, self.magnitude_squared * other.magnitude_squared)
 
     def __add__(self, other: "ExactSqrtRational") -> "ExactSqrtRational":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        ratio = _sqrt_of_square(other.magnitude_squared / self.magnitude_squared)
-        if ratio is None:
-            raise IncompatibleRadicalError(
-                "cannot add sqrt values whose ratio is not a rational square; "
-                "use RadicalSum for multi-class sums"
-            )
-        # other = (other.sign * ratio) * sqrt(self.magnitude_squared)
-        coeff = Fraction(self.sign) + other.sign * ratio
-        return ExactSqrtRational.from_rational_times_sqrt(coeff, self.magnitude_squared)
+        """Exact sum; IncompatibleRadicalError unless it is a single sqrt-rational."""
+        total = RadicalSum()
+        total.add(self)
+        total.add(other)
+        return total.to_exact()
 
     def __sub__(self, other: "ExactSqrtRational") -> "ExactSqrtRational":
         return self + (-other)

@@ -8,6 +8,7 @@ have their own diagonalization oracle in test_standard_wra).
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -37,7 +38,9 @@ from wigner_nonstd.nonstandard import (
     verify_fbar_symmetry,
     wigner_eckart_check,
 )
-from wigner_nonstd.standard_wra import cg_float
+from wigner_nonstd import nonstandard
+from wigner_nonstd.quon import unit_phase
+from wigner_nonstd.standard_wra import cg_float, threejm
 from wigner_nonstd.su2gen import SpinSpace, build_spin_ops
 from wigner_nonstd.verify import DEFAULT_TOLERANCES
 
@@ -187,6 +190,18 @@ class TestBasisMatrix:
         assert a is b
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
+
+
+def test_alpha_basis_caches_stay_bounded_over_an_r_sweep():
+    # 2,100 distinct r: every cache evicts at its bound instead of growing
+    for n in range(2100):
+        sp = [SpinSpace(H(t), 3.0 + n / 2100) for t in (1, 1, 2)]
+        cg_nonstandard_tensor(*sp)
+        fbar_tensor(*sp)
+    for cached in (basis_matrix, cg_nonstandard_tensor, fbar_tensor):
+        info = cached.cache_info()
+        assert info.maxsize == nonstandard._CACHE_SIZE
+        assert info.currsize == info.maxsize
 
 
 class TestBasisTransforms:
@@ -345,6 +360,59 @@ def test_tensor_routes_match_direct_sums_on_unequal_legs(tj1, tj2, tj3, r):
         labels = [AlphaLabel(space.j, r, s) for space, s in zip(sp, (s1, s2, s3))]
         assert abs(coupling[s1, s2, s3] - cg_nonstandard(*labels)) < 1e-12
         assert abs(symbol[s1, s2, s3] - fbar(*labels)) < 1e-12
+
+
+def loop_cg_nonstandard(l1, l2, l):
+    """cg_nonstandard as its own loop, before it shared one direct sum with fbar."""
+    if l1.r != l2.r or l1.r != l.r:
+        raise ValueError("all three labels must share the same winding parameter r")
+    total = 0.0 + 0.0j
+    for tm1 in range(-l1.j.twice, l1.j.twice + 1, 2):
+        for tm2 in range(-l2.j.twice, l2.j.twice + 1, 2):
+            tm = tm1 + tm2
+            if abs(tm) > l.j.twice:
+                continue
+            c = cg_float(l1.j, l2.j, HalfInt(tm1), HalfInt(tm2), l.j, HalfInt(tm))
+            if c == 0.0:
+                continue
+            turns = l.turns(tm) - l1.turns(tm1) - l2.turns(tm2)
+            total += unit_phase(turns.numerator, turns.denominator) * c
+    return total / math.sqrt(l1.dim * l2.dim * l.dim)
+
+
+def loop_fbar(l1, l2, l3):
+    """fbar as its own loop, with the 3-jm symbol at m3 = -m1 - m2 and all three phases conjugated."""
+    if l1.r != l2.r or l1.r != l3.r:
+        raise ValueError("all three labels must share the same winding parameter r")
+    total = 0.0 + 0.0j
+    for tm1 in range(-l1.j.twice, l1.j.twice + 1, 2):
+        for tm2 in range(-l2.j.twice, l2.j.twice + 1, 2):
+            tm3 = -tm1 - tm2
+            if abs(tm3) > l3.j.twice:
+                continue
+            value = float(threejm(l1.j, l2.j, l3.j,
+                                  HalfInt(tm1), HalfInt(tm2), HalfInt(tm3)))
+            if value == 0.0:
+                continue
+            turns = -l1.turns(tm1) - l2.turns(tm2) - l3.turns(tm3)
+            total += unit_phase(turns.numerator, turns.denominator) * value
+    return total / math.sqrt(l1.dim * l2.dim * l3.dim)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.37, -5 / 3, 1e6])
+def test_direct_sums_equal_their_separate_loops_bit_for_bit(r, monkeypatch):
+    # every label triple with 2j <= 4; both sides read the m-scheme symbols
+    # through one memo, which moves no bit and halves the run time
+    for name in ("cg_float", "threejm"):
+        memo = functools.lru_cache(maxsize=None)(getattr(nonstandard, name))
+        monkeypatch.setattr(nonstandard, name, memo)
+        monkeypatch.setitem(globals(), name, memo)
+    labels = [AlphaLabel(H(tj), r, s) for tj in range(5) for s in range(tj + 1)]
+    for l1 in labels:
+        for l2 in labels:
+            for l3 in labels:
+                assert cg_nonstandard(l1, l2, l3) == loop_cg_nonstandard(l1, l2, l3)
+                assert fbar(l1, l2, l3) == loop_fbar(l1, l2, l3)
 
 
 def reference_cg_tensor(sp1, sp2, sp, mp):
