@@ -13,15 +13,13 @@ Complex numbers serialize as [re, im]; half-integers as reduced strings
 of their fixed labels (j, then r; a repeated --r is refused) and each is
 written in C order of its axes (s, so alpha = -j r + s, or m ascending);
 alphas that round to one float keep s order. CSV output adds magnitude
-and phase columns. Each command builds one document, a JSON payload or CSV
-rows from a generator, and emit streams it to stdout or --output in chunks.
-JSON is written by this module's own encoder, byte for byte as json.dump with
-a two-space indent would write it: table rows come from one text template per
-block and operator matrices from one per nesting level, so no output is held
-as one string. A job is refused (bad or missing flags, non-finite values, over
-MAX_ROWS rows) before any byte is written. A config file in key = value form
-may supply any long flag's value; other keys are refused, and explicit flags
-win.
+and phase columns. Each command builds its output as text chunks, and emit
+streams them to stdout or --output. Table rows in both formats, and export-ops
+CSV, come from one text template per block; JSON is byte for byte what
+json.dump with a two-space indent writes, and CSV what csv.writer writes. A job
+is refused (bad or missing flags, non-finite values, over MAX_ROWS rows) before
+any byte is written. A config file in key = value form may supply any long
+flag's value; other keys are refused, and explicit flags win.
 Exit status: 0 success, 1 verification failure, 2 bad arguments, 141 stdout
 or an --output FIFO closed by its reader before the output was written
 (128 + SIGPIPE).
@@ -30,7 +28,6 @@ or an --output FIFO closed by its reader before the output was written
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -208,8 +205,8 @@ def _check_rows(job: str, rows: int) -> None:
         raise ConfigError(f"{job} would write {rows:,} rows, over the row cap of {MAX_ROWS:,}")
 
 
-def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
-    j1, j2, j3 = config.j1, config.j2, config.j3
+def _build_table(config: JobConfig) -> _Table:
+    j1, j2, j3, r_values = config.j1, config.j2, config.j3, config.r_values
     if config.command == "tabulate-cg":
         if j1 is None or j2 is None:
             raise ConfigError("tabulate-cg needs --j1 and --j2")
@@ -271,39 +268,27 @@ def _build_table(config: JobConfig, r_values: tuple[float, ...]) -> _Table:
     return _Table(columns, "standard", config.symbol, [block])
 
 
-def _csv_complex(value: complex) -> list[str]:
-    """re, im, magnitude and phase cells; a zero value has phase 0.0, not atan2's +-pi."""
-    return [repr(value.real), repr(value.imag), repr(abs(value)),
-            repr(math.atan2(value.imag, value.real) if value else 0.0)]
-
-
-def _format_table(table: _Table, fmt: str) -> dict | Iterator[list]:
-    """The table as a document for emit, rows block by block in C order of each block's axes.
-
-    The JSON payload lists the blocks themselves as its rows; the writer expands each.
-    """
+def _format_table(table: _Table) -> dict:
+    """The table as a document whose rows are its blocks; each writer expands them in C order."""
     if not all(np.isfinite(block.values).all() for block in table.blocks):
         raise ValueError("symbol value must be finite")
-    if fmt == "json":
-        return {"columns": table.columns, "scheme": table.scheme,
-                "formula": table.formula, "rows": table.blocks}
-    header = table.columns + ["re", "im", "magnitude", "phase"] + (
-        ["exact"] if table.blocks[0].exact else [])
-    return itertools.chain([header], (
-        [*block.fixed, *labels, *_csv_complex(value), *([text] if text is not None else [])]
-        for block in table.blocks
-        for labels, value, text in zip(itertools.product(*block.axes),
-                                       block.values.ravel().tolist(),
-                                       block.exact or itertools.repeat(None))))
+    return {"columns": table.columns, "scheme": table.scheme,
+            "formula": table.formula, "rows": table.blocks}
 
 
-def _export_ops_payload(config: JobConfig, r_values: tuple[float, ...]) -> dict:
+def _table_csv(document: dict) -> Iterator[str]:
+    exact = ["exact"] if document["rows"][0].exact else []
+    header = _csv_line(document["columns"] + ["re", "im", "magnitude", "phase"] + exact)
+    return itertools.chain([header], *map(_csv_rows, document["rows"]))
+
+
+def _export_ops_payload(config: JobConfig) -> dict:
     if config.j is None:
         raise ConfigError("export-ops needs --j")
-    _check_rows(f"export-ops --j {config.j} --r (n = {len(r_values)})",
-                len(r_values) * 6 * (config.j.twice + 1) ** 2)
+    n_r = len(config.r_values)
+    _check_rows(f"export-ops --j {config.j} --r (n = {n_r})", n_r * 6 * (config.j.twice + 1) ** 2)
     exports = []
-    for r in r_values:
+    for r in config.r_values:
         space = SpinSpace(config.j, r)
         ops = build_spin_ops(space)
         operators = {"h": ops.h, "u_r": ops.u_r, "j_plus": ops.j_plus,
@@ -323,41 +308,78 @@ def _export_ops_payload(config: JobConfig, r_values: tuple[float, ...]) -> dict:
     return {"exports": exports}
 
 
-def _export_ops_rows(payload: dict) -> Iterator[list]:
-    yield ["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"]
+def _export_ops_csv(payload: dict) -> Iterator[str]:
+    """One CSV row per matrix entry: each operator is a block with fixed labels (j, r, name)."""
+    yield _csv_line(["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"])
     for export in payload["exports"]:
+        index = tuple(map(str, range(len(export["basis_m"]))))
         for name, entries in sorted(export["operators"].items()):
-            for i, row in enumerate(entries.tolist()):
-                for kcol, value in enumerate(row):
-                    yield [export["j"], repr(export["r"]), name, i, kcol, *_csv_complex(value)]
+            yield from _csv_rows(_Block((export["j"], repr(export["r"]), name),
+                                        (index, index), entries))
 
 
-def _verify_rows(report: dict) -> Iterator[list]:
-    yield ["check", "parameters", "residual", "tolerance", "pass"]
+def _verify_csv(report: dict) -> Iterator[str]:
+    yield _csv_line(["check", "parameters", "residual", "tolerance", "pass"])
     for check in report["checks"]:
-        yield [check["check"], json.dumps(check["parameters"]),
-               repr(check["residual"]), repr(check["tolerance"]), check["pass"]]
+        yield _csv_line([check["check"], json.dumps(check["parameters"]),
+                         repr(check["residual"]), repr(check["tolerance"]), str(check["pass"])])
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer: the bytes json.dump writes with a two-space indent, produced
-# by fixed text templates. json serves an indent only from its pure-Python encoder.
+# the writers: the bytes of json.dump with a two-space indent (which json serves
+# only from its pure-Python encoder) and of csv.writer, from fixed text templates.
 
 _quote = json.encoder.encode_basestring_ascii
 # rows per chunk of table output
 _CHUNK_ROWS = 2048
 
 
+def _rows(block: _Block, template: str, separator: str, quote, columns) -> Iterator[str]:
+    """A block's rows in chunks: its quoted labels, value columns and exact text in template."""
+    labels = itertools.product(*([quote(text) for text in axis] for axis in block.axes))
+    exact = map(quote, block.exact or ())
+    values = np.asarray(block.values, dtype=complex).ravel()
+    lead = ""
+    for start in range(0, values.size, _CHUNK_ROWS):
+        cells = columns(values[start:start + _CHUNK_ROWS])
+        tails = zip(*cells, exact) if block.exact else zip(*cells)
+        rows = map(tuple.__add__, itertools.islice(labels, _CHUNK_ROWS), tails)
+        yield lead + separator.join(map(template.__mod__, rows))
+        lead = separator
+
+
+def _csv_columns(values: np.ndarray) -> tuple[list, ...]:
+    """re, im, magnitude and phase; a zero value has phase 0.0, not atan2's +-pi. np.hypot is
+    abs(complex) bit for bit (both call libm's hypot), but np.arctan2 is not math.atan2."""
+    re, im = values.real.tolist(), values.imag.tolist()
+    return (re, im, np.hypot(values.real, values.imag).tolist(),
+            [math.atan2(y, x) if x or y else 0.0 for x, y in zip(re, im)])
+
+
+def _csv_quote(text: str) -> str:
+    """text as a cell of csv.writer's default dialect: quoted if it holds , " CR or LF."""
+    special = "," in text or '"' in text or "\r" in text or "\n" in text
+    return '"' + text.replace('"', '""') + '"' if special else text
+
+
+def _csv_line(cells: list[str]) -> str:
+    return ",".join(map(_csv_quote, cells)) + "\r\n"
+
+
+def _csv_rows(block: _Block) -> Iterator[str]:
+    """The rows of a block as CSV lines: labels, re, im, magnitude, phase[, exact]."""
+    slots = [*map(_csv_quote, block.fixed), *["%s"] * len(block.axes), "%r", "%r", "%r", "%r"]
+    template = ",".join(slots + ["%s"] * bool(block.exact)) + "\r\n"
+    return _rows(block, template, "", _csv_quote, _csv_columns)
+
+
 def _indent(level: int) -> str:
     return "\n" + "  " * level
 
 
-def _json_chunks(value, level: int, open_ids: set[int]) -> Iterator[str]:
-    """value as json.dump with a two-space indent writes it at nesting level, in chunks.
-
-    Beyond json's types, a complex ndarray is written as its nested [re, im]
-    lists, and a _Block as its rows, spliced into the enclosing list.
-    """
+def _json_chunks(value, level: int) -> Iterator[str]:
+    """value as json.dump with a two-space indent writes it at nesting level, in chunks; a complex
+    ndarray is written as its nested [re, im] lists, and a _Block as its rows, spliced in."""
     if isinstance(value, str):
         yield _quote(value)
     elif value is None or isinstance(value, (int, float)):
@@ -370,25 +392,21 @@ def _json_chunks(value, level: int, open_ids: set[int]) -> Iterator[str]:
         if not value:
             yield "{}" if isinstance(value, dict) else "[]"
             return
-        if id(value) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(value))
         separator = "," + _indent(level + 1)
         if isinstance(value, dict):
             lead = "{" + _indent(level + 1)
             for key, item in value.items():
                 yield lead + _quote(key) + ": "
-                yield from _json_chunks(item, level + 1, open_ids)
+                yield from _json_chunks(item, level + 1)
                 lead = separator
             yield _indent(level) + "}"
         else:
             lead = "[" + _indent(level + 1)
             for item in value:
                 yield lead
-                yield from _json_chunks(item, level + 1, open_ids)
+                yield from _json_chunks(item, level + 1)
                 lead = separator
             yield _indent(level) + "]"
-        open_ids.remove(id(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -413,52 +431,32 @@ def _array_text(values: np.ndarray, level: int) -> str:
 
 
 def _block_rows(block: _Block, level: int) -> Iterator[str]:
-    """The rows of a block as the list items {"labels", "value"[, "exact"]} at level.
-
-    Every label is quoted once; each row fills one template with its axis labels,
-    the repr of its re and im (json's spelling of a finite float) and its exact text.
-    """
+    """The rows of a block as the list items {"labels", "value"[, "exact"]} at level."""
     inner, item = _indent(level + 1), _indent(level + 2)
     slots = [_quote(text) for text in block.fixed] + ["%s"] * len(block.axes)
     template = ("{" + inner + '"labels": [' + item + ("," + item).join(slots) + inner + "],"
                 + inner + '"value": [' + item + "%r," + item + "%r" + inner + "]"
                 + ("," + inner + '"exact": %s' if block.exact else "") + _indent(level) + "}")
-    labels = itertools.product(*([_quote(text) for text in axis] for axis in block.axes))
-    exact = map(_quote, block.exact or ())
-    floats = np.asarray(block.values, dtype=complex).ravel().view(np.float64)
-    lead, separator = "", "," + _indent(level)
-    for start in range(0, floats.size, 2 * _CHUNK_ROWS):
-        chunk = iter(floats[start:start + 2 * _CHUNK_ROWS].tolist())
-        tails = zip(chunk, chunk, exact) if block.exact else zip(chunk, chunk)
-        rows = (row + tail for row, tail in zip(itertools.islice(labels, _CHUNK_ROWS), tails))
-        yield lead + separator.join(map(template.__mod__, rows))
-        lead = separator
+    return _rows(block, template, "," + _indent(level), _quote,
+                 lambda values: (values.real.tolist(), values.imag.tolist()))
 
 
-def emit(document: dict | Iterable[list], fmt: str, path: str | None) -> None:
-    """Stream a JSON payload (dict) or CSV rows (header first) to stdout, in place to an
-    existing device or FIFO, or to a temp file renamed over path unless something raises.
+def emit(chunks: Iterable[str], path: str | None) -> None:
+    """Write text chunks to stdout, in place to an existing device or FIFO, or to a temp
+    file renamed over path unless something raises.
 
     If the reader of stdout or of the FIFO closes it early, the process exits 141
     (128 + SIGPIPE) with nothing on stderr.
     """
-    def write(fh) -> None:
-        if fmt == "json":
-            for chunk in _json_chunks(document, 0, set()):
-                fh.write(chunk)
-            fh.write("\n")
-        else:
-            csv.writer(fh).writerows(document)
-
     if path is None or (os.path.exists(path) and not os.path.isfile(path)):
         try:
             if path is None:
-                write(sys.stdout)
+                sys.stdout.writelines(chunks)
                 sys.stdout.flush()
             else:
                 # a failed flush in close() still closes the descriptor, and is caught here
                 with open(path, "w", encoding="utf-8") as fh:
-                    write(fh)
+                    fh.writelines(chunks)
         except BrokenPipeError:
             if path is None:
                 # point fd 1 at devnull, so that the flush at interpreter exit cannot raise again
@@ -475,7 +473,7 @@ def emit(document: dict | Iterable[list], fmt: str, path: str | None) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wigner-nonstd-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            write(fh)
+            fh.writelines(chunks)
         os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
@@ -491,19 +489,19 @@ def run(config: JobConfig) -> int:
     if config.fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {config.fmt!r}")
     if config.command in ("tabulate-cg", "tabulate-fbar", "tabulate-standard"):
-        emit(_format_table(_build_table(config, config.r_values), config.fmt), config.fmt, config.output)
-        return 0
-    if config.command == "export-ops":
-        payload, csv_rows = _export_ops_payload(config, config.r_values), _export_ops_rows
+        document, csv_text = _format_table(_build_table(config)), _table_csv
+    elif config.command == "export-ops":
+        document, csv_text = _export_ops_payload(config), _export_ops_csv
     elif config.command == "verify":
-        payload, csv_rows = report_dict(run_suites(config.verify), config.verify), _verify_rows
+        document, csv_text = report_dict(run_suites(config.verify), config.verify), _verify_csv
     else:
         raise ConfigError(f"unknown command {config.command!r}")
-    emit(payload if config.fmt == "json" else csv_rows(payload), config.fmt, config.output)
+    emit(csv_text(document) if config.fmt == "csv"
+         else itertools.chain(_json_chunks(document, 0), ["\n"]), config.output)
     if config.command == "verify":
-        passed = payload["total"] - payload["failed"]
-        print(f"verify: {passed}/{payload['total']} checks passed", file=sys.stderr)
-        return 0 if payload["all_pass"] else 1
+        passed = document["total"] - document["failed"]
+        print(f"verify: {passed}/{document['total']} checks passed", file=sys.stderr)
+        return 0 if document["all_pass"] else 1
     return 0
 
 

@@ -29,7 +29,7 @@ from wigner_nonstd.cli import (
 )
 from wigner_nonstd.halfint import HalfInt
 from wigner_nonstd.nonstandard import cg_nonstandard_tensor
-from wigner_nonstd.su2gen import SpinSpace
+from wigner_nonstd.su2gen import SpinSpace, build_spin_ops
 from wigner_nonstd.verify import VerifyConfig
 
 
@@ -639,6 +639,9 @@ WRITER_JOBS = [
     ["tabulate-standard", "--symbol", "sixj", "--labels", "1/2,1/2,1,1/2,1/2,1"],
     ["export-ops", "--j", "3/2", "--r=0.37,0"],
     ["verify", "--j-max", "1/2", "--k", "2", "--r", "0"],
+    # one block over cli._CHUNK_ROWS rows: 2,197 with an exact column, and 4,225 per operator
+    ["tabulate-standard", "--symbol", "threejm", "--j1", "6", "--j2", "6", "--j3", "6"],
+    ["export-ops", "--j", "32"],
 ]
 
 # jobs over cli.MAX_ROWS; they must never run for real, their tensors would take gigabytes
@@ -678,6 +681,38 @@ def block_rows(block):
         yield row
 
 
+def complex_cells(value):
+    """re, im, magnitude and phase cells, spelled one value at a time; a zero value has phase 0.0."""
+    return [repr(value.real), repr(value.imag), repr(abs(value)),
+            repr(math.atan2(value.imag, value.real) if value else 0.0)]
+
+
+def csv_reference_rows(command, document):
+    """The CSV rows of a command's document as lists of cells, for csv.writer."""
+    if command == "export-ops":
+        yield ["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"]
+        for export in document["exports"]:
+            for name, entries in sorted(export["operators"].items()):
+                for i, row in enumerate(entries.tolist()):
+                    for k, value in enumerate(row):
+                        yield [export["j"], repr(export["r"]), name, i, k, *complex_cells(value)]
+    elif command == "verify":
+        yield ["check", "parameters", "residual", "tolerance", "pass"]
+        for check in document["checks"]:
+            yield [check["check"], json.dumps(check["parameters"]),
+                   repr(check["residual"]), repr(check["tolerance"]), check["pass"]]
+    else:
+        blocks = document["rows"]
+        yield document["columns"] + ["re", "im", "magnitude", "phase"] + (
+            ["exact"] if blocks[0].exact else [])
+        for block in blocks:
+            for labels, value, text in zip(itertools.product(*block.axes),
+                                           block.values.ravel().tolist(),
+                                           block.exact or itertools.repeat(None)):
+                yield [*block.fixed, *labels, *complex_cells(value),
+                       *([text] if text is not None else [])]
+
+
 def plain(document):
     """A document with its arrays and table blocks turned into lists and dicts, for json.dumps."""
     if isinstance(document, dict):
@@ -695,33 +730,31 @@ class TestStreamedWriter:
     @pytest.mark.parametrize("argv", WRITER_JOBS, ids=lambda argv: " ".join(argv[:3]))
     def test_bytes_equal_the_whole_string_formula(self, argv, fmt, tmp_path, capsys,
                                                   monkeypatch):
-        # record each document as emit consumes it, then rebuild the output the
-        # way it was built before streaming: one string from json.dumps, with the
-        # arrays and table blocks spelled out as lists and row dicts, or a StringIO
+        # record each document as its command builds it, then rebuild the output the
+        # way it was built before the templates: one string from json.dumps, with the
+        # arrays and table blocks spelled out as lists and row dicts, or csv.writer
+        # over rows expanded one cell at a time
         documents = []
-        real_emit = cli.emit
 
-        def recording_emit(document, fmt, path):
-            if fmt == "json":
-                documents.append(document)
-            else:
-                seen = []
-                documents.append(seen)
-                document = (seen.append(row) or row for row in document)
-            real_emit(document, fmt, path)
+        def recording(builder):
+            def record(*args):
+                documents.append(builder(*args))
+                return documents[-1]
+            return record
 
-        monkeypatch.setattr(cli, "emit", recording_emit)
+        for name in ("_format_table", "_export_ops_payload", "report_dict"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
         out = tmp_path / "out"
         assert run_main(*argv, "--format", fmt, "--output", str(out)) == 0
         assert run_main(*argv, "--format", fmt) == 0
         stdout = capsys.readouterr().out
-        to_file, to_stdout = map(plain, documents)
-        assert to_file == to_stdout
+        to_file, to_stdout = documents
+        assert plain(to_file) == plain(to_stdout)
         if fmt == "json":
-            reference = json.dumps(to_file, indent=2) + "\n"
+            reference = json.dumps(plain(to_file), indent=2) + "\n"
         else:
             buf = io.StringIO()
-            csv.writer(buf).writerows(to_file)
+            csv.writer(buf).writerows(csv_reference_rows(argv[0], to_file))
             reference = buf.getvalue()
             assert reference.endswith("\r\n")
         assert out.read_bytes() == reference.encode("utf-8")
@@ -751,34 +784,74 @@ class TestStreamedWriter:
         assert {tuple(map(repr, row["value"])) for row in json.loads(out)["rows"]} == {
             ("-0.0", "-0.0")}
 
+    def test_csv_zero_value_has_phase_zero_and_keeps_its_signs(self, capsys, monkeypatch):
+        def negative_zero_tensor(sp1, sp2, sp):
+            return np.full((sp1.dim, sp2.dim, sp.dim), complex(-0.0, -0.0))
+
+        monkeypatch.setattr(cli, "cg_nonstandard_tensor", negative_zero_tensor)
+        assert run_main("tabulate-cg", "--j1", "1/2", "--j2", "1/2", "--format", "csv") == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+        # atan2(-0.0, -0.0) is -pi; a zero value is written with phase 0.0
+        assert {tuple(row[-4:]) for row in rows[1:]} == {("-0.0", "-0.0", "0.0", "0.0")}
+
     def test_csv_table_rows_are_generated_lazily(self):
         config = cli.JobConfig(command="tabulate-cg", j1=HalfInt(1), j2=HalfInt(1))
-        document = cli._format_table(cli._build_table(config, (0.0,)), "csv")
-        assert not isinstance(document, (list, tuple))
-        assert next(iter(document))[:4] == ["j1", "j2", "j", "r"]
+        chunks = cli._table_csv(cli._format_table(cli._build_table(config)))
+        assert not isinstance(chunks, (list, tuple, str))
+        assert next(chunks) == "j1,j2,j,r,alpha1,alpha2,alpha,re,im,magnitude,phase\r\n"
+        # then one chunk per block of 2 x 2 x (2j + 1) rows (j1 = j2 = 1/2), the first at j = 0
+        assert next(chunks).count("\r\n") == 4
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_failure_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch, fmt):
-        def failing_rows(payload):
-            yield ["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"]
-            yield ["1/2", "0.0", "h", 0, 0, "0.0", "0.0", "0.0", "0.0"]
-            raise ValueError("row generator failed")
+        # both writers fail after the first operator matrix has been written
+        real_array_text, real_csv, written = cli._array_text, cli._export_ops_csv, []
 
-        real_payload = cli._export_ops_payload
+        def failing_array_text(values, level):
+            if written:
+                raise ValueError("matrix writer failed")
+            written.append(real_array_text(values, level))
+            return written[-1]
 
-        def circular_payload(config, r_values):
-            # json.dump finds the cycle only after it has written the first export
-            payload = real_payload(config, r_values)
-            payload["exports"].append(payload["exports"])
-            return payload
+        def failing_csv(payload):
+            chunks = real_csv(payload)
+            yield next(chunks)  # the header
+            written.append(next(chunks))
+            yield written[-1]
+            raise ValueError("matrix writer failed")
 
-        monkeypatch.setattr(cli, "_export_ops_rows", failing_rows)
-        monkeypatch.setattr(cli, "_export_ops_payload", circular_payload)
+        monkeypatch.setattr(cli, "_array_text", failing_array_text)
+        monkeypatch.setattr(cli, "_export_ops_csv", failing_csv)
         out = tmp_path / "ops.out"
         assert run_main("export-ops", "--j", "3/2", "--format", fmt, "--output", str(out)) == 2
-        err = capsys.readouterr().err
-        assert ("row generator failed" if fmt == "csv" else "Circular reference") in err
+        assert "matrix writer failed" in capsys.readouterr().err
+        assert len(written) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", [
+        "a,b", 'say "hi"', "a\rb", "a\nb", " leading space", "tab\there", "%s", "ĵ₁ = ½ · α",
+        json.dumps({"j1": "1/2", "j2": "3/2", "r": -1.3, "k": [2, 3]}),  # a verify parameters cell
+    ])
+    def test_csv_quote_is_csv_writers_cell(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, "x"])
+        assert cli._csv_quote(text) + ",x\r\n" == buf.getvalue()
+
+    def test_numpy_hypot_is_abs_complex_bit_for_bit(self):
+        # the CSV magnitude column is np.hypot over a block; it must spell abs(complex) exactly
+        ops = build_spin_ops(SpinSpace(HalfInt(128), 1 / 3))  # the six export-ops --j 64 matrices
+        values = [ops.h, ops.u_r, ops.j_plus, ops.j_minus, ops.j3, ops.j_squared]
+        for r in (0.0, 0.37, -5 / 3):
+            for tj1, tj2 in [(1, 1), (2, 3), (4, 4), (3, 8), (8, 8)]:
+                for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                    values.append(cg_nonstandard_tensor(
+                        SpinSpace(HalfInt(tj1), r), SpinSpace(HalfInt(tj2), r),
+                        SpinSpace(HalfInt(tj), r)))
+        for z in values:
+            z = np.asarray(z, dtype=complex).ravel()
+            reference = np.array([abs(value) for value in z.tolist()])
+            assert np.array_equal(np.hypot(z.real, z.imag).view(np.uint64),
+                                  reference.view(np.uint64))
 
     @pytest.mark.parametrize("argv, message", OVER_CAP_JOBS,
                              ids=[" ".join(argv) for argv, _ in OVER_CAP_JOBS])
@@ -794,7 +867,7 @@ class TestStreamedWriter:
 
     def test_row_cap_admits_the_baseline_jobs(self, capsys, monkeypatch):
         # rows are counted from the blocks that would be written, not formatted
-        def row_count(table, fmt):
+        def row_count(table):
             return {"rows": sum(block.values.size for block in table.blocks)}
 
         monkeypatch.setattr(cli, "_format_table", row_count)
