@@ -3,22 +3,19 @@
 Layers, bottom up:
 
 - halfint: exact half-integer labels and selection rules
-- standard_wra: exact {J^2, J3}-scheme symbols (CG, 3-jm, 6-j, 9-j)
+- standard_wra: exact {J^2, J3}-scheme symbols (CG, 3-jm, 6-j)
 - quon: q-deformed oscillator pair at q = exp(2 pi i/k)
 - su2gen: the polar pair (H, U_r) and the spin generators it produces
 - nonstandard: the {J^2, U_r} eigenbasis and its coupling apparatus
 - verify / cli: invariant suites and the command-line surface
 """
 
-from .halfint import HalfInt, half, m_values, coupled_j_values, triangle
+from .halfint import HalfInt, m_values, coupled_j_values, triangle
 from .standard_wra import (
     ExactSqrtRational,
-    IncompatibleRadicalError,
     RadicalSum,
     cg,
     cg_float,
-    metric_standard,
-    ninej,
     sixj,
     threejm,
 )
@@ -30,8 +27,6 @@ from .quon import (
     build_rep,
     build_ur,
     w_algebra_residual,
-    w_commutator_check,
-    w_generator,
 )
 from .su2gen import (
     ResidualReport,
@@ -39,7 +34,6 @@ from .su2gen import (
     SpinSpace,
     build_spin_ops,
     casimir_identities,
-    schwinger_embed,
     verify_su2,
 )
 from .nonstandard import (
@@ -52,12 +46,10 @@ from .nonstandard import (
     f_small,
     fbar,
     fbar_tensor,
-    from_nonstandard,
     overlap,
     recoupling_invariance_check,
     spherical_tensor_from_j,
     tensor_to_alpha,
-    to_nonstandard,
     verify_cg_orthonormality,
     verify_eigenbasis,
     verify_fbar_symmetry,
@@ -70,7 +62,6 @@ __all__ = [
     "AlphaLabel",
     "ExactSqrtRational",
     "HalfInt",
-    "IncompatibleRadicalError",
     "KronPair",
     "QDeformation",
     "QuonRep",
@@ -94,26 +85,18 @@ __all__ = [
     "f_small",
     "fbar",
     "fbar_tensor",
-    "from_nonstandard",
-    "half",
     "m_values",
-    "metric_standard",
-    "ninej",
     "overlap",
     "recoupling_invariance_check",
-    "schwinger_embed",
     "sixj",
     "spherical_tensor_from_j",
     "tensor_to_alpha",
     "threejm",
-    "to_nonstandard",
     "triangle",
     "verify_cg_orthonormality",
     "verify_eigenbasis",
     "verify_fbar_symmetry",
     "verify_su2",
     "w_algebra_residual",
-    "w_commutator_check",
-    "w_generator",
     "wigner_eckart_check",
 ]

@@ -598,7 +598,9 @@ def make_config(args: argparse.Namespace) -> JobConfig:
     if pick("output") is not None:
         config.output = pick("output")
         directory = os.path.dirname(os.path.abspath(config.output))
-        if os.path.isdir(config.output) or not os.path.isdir(directory):
+        # "" and "x/" name no file: abspath would turn them into a file in the parent directory
+        if (not os.path.basename(config.output) or os.path.isdir(config.output)
+                or not os.path.isdir(directory)):
             raise ConfigError(f"--output: {config.output!r} is not a file in an existing directory")
     return config
 

@@ -8,7 +8,6 @@ appear only when a label is converted for numerical work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 
 
@@ -23,15 +22,8 @@ class HalfInt:
         if not isinstance(self.twice, int) or isinstance(self.twice, bool):
             raise TypeError(f"twice must be a plain int, got {self.twice!r}")
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.twice / 2.0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
 
     def __add__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.twice + other.twice)
@@ -71,52 +63,9 @@ class HalfInt:
         return cls(2 * int(s))
 
 
-def half(value) -> HalfInt:
-    """Coerce an int, float, Fraction, str or HalfInt into a HalfInt.
-
-    Floats must be an exact multiple of 1/2 (0.5 is exact in binary, so
-    literals like 1.5 are safe).
-    """
-    if isinstance(value, HalfInt):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a half-integer")
-    if isinstance(value, int):
-        return HalfInt(2 * value)
-    if isinstance(value, Fraction):
-        if value.denominator in (1, 2):
-            return HalfInt(int(2 * value))
-        raise ValueError(f"not a half-integer: {value}")
-    if isinstance(value, float):
-        doubled = 2.0 * value
-        if doubled != int(doubled):
-            raise ValueError(f"not a half-integer: {value}")
-        return HalfInt(int(doubled))
-    if isinstance(value, str):
-        return HalfInt.parse(value)
-    raise TypeError(f"cannot interpret {value!r} as a half-integer")
-
-
-ZERO = HalfInt(0)
-ONE_HALF = HalfInt(1)
-
-
 def is_valid_j(j: HalfInt) -> bool:
     """j-type labels are non-negative half-integers."""
     return j.twice >= 0
-
-
-def m_compatible(j: HalfInt, m: HalfInt) -> bool:
-    """True iff m lies in the projection range of j with matching parity."""
-    return abs(m.twice) <= j.twice and (m.twice - j.twice) % 2 == 0
-
-
-def require_m(j: HalfInt, m: HalfInt) -> None:
-    """Reject projection labels outside the range of j (range or parity mismatch)."""
-    if not is_valid_j(j):
-        raise ValueError(f"invalid j label: {j}")
-    if not m_compatible(j, m):
-        raise ValueError(f"m={m} is not a projection of j={j}")
 
 
 def triangle(j1: HalfInt, j2: HalfInt, j3: HalfInt) -> bool:

@@ -115,26 +115,6 @@ def basis_matrix(space: SpinSpace) -> np.ndarray:
     return out
 
 
-def to_nonstandard(space: SpinSpace, array: np.ndarray) -> np.ndarray:
-    """Components of a vector (1-D) or operator (2-D) in the alpha-basis."""
-    m = basis_matrix(space)
-    if array.ndim == 1:
-        return m.conj().T @ array
-    if array.ndim == 2:
-        return m.conj().T @ array @ m
-    raise ValueError(f"expected a vector or matrix, got ndim={array.ndim}")
-
-
-def from_nonstandard(space: SpinSpace, array: np.ndarray) -> np.ndarray:
-    """Inverse of to_nonstandard."""
-    m = basis_matrix(space)
-    if array.ndim == 1:
-        return m @ array
-    if array.ndim == 2:
-        return m @ array @ m.conj().T
-    raise ValueError(f"expected a vector or matrix, got ndim={array.ndim}")
-
-
 def verify_eigenbasis(space: SpinSpace) -> ResidualReport:
     """Unitarity of the overlap matrix and the eigenvalue equations.
 
@@ -294,15 +274,13 @@ class TensorOperator:
     """Spherical components T^(rank)_q between two multiplets, q ascending.
 
     components has shape (2*rank+1, bra_dim, ket_dim) over the m-bases;
-    each slice maps the ket space into the bra space. source_tag carries
-    any extra quantum-number bookkeeping and plays no algebraic role.
+    each slice maps the ket space into the bra space.
     """
 
     bra_space: SpinSpace
     ket_space: SpinSpace
     rank: HalfInt
     components: np.ndarray
-    source_tag: str = ""
 
     def __post_init__(self) -> None:
         _require_same_r(self.bra_space, self.ket_space)
@@ -352,8 +330,7 @@ def spherical_tensor_from_j(ops: SpinOperatorSet, rank: int) -> TensorOperator:
                     nxt[(tq + new_rank.twice) // 2] += c * (current[i1] @ base[i2])
         current = nxt
     return TensorOperator(bra_space=ops.space, ket_space=ops.space,
-                          rank=HalfInt(2 * rank), components=current,
-                          source_tag=f"coupled power {rank} of the generators")
+                          rank=HalfInt(2 * rank), components=current)
 
 
 def tensor_to_alpha(tensor: TensorOperator) -> np.ndarray:

@@ -18,9 +18,8 @@ Product-space operators are kept in their k x k structure:
 The relation and cyclicity checks therefore cost O(k^3) time and O(k^2)
 memory. Only the sine-algebra generators T_(m1,m2) are formed as dense
 k^2 x k^2 matrices, for the small k at which that bracket is checked
-entrywise. One construction of T and one bracket formula serve the
-single-pair check (w_commutator_check) and the all-pairs sweep
-(w_algebra_residual); each call builds U_r and V once and each T once.
+entrywise. The all-pairs sweep (w_algebra_residual) builds U_r and V
+once and each T once.
 Every phase in the package comes from unit_phase, in integer turns reduced
 exactly; the winding of U_r is passed in turns, phi_r/(2 pi).
 """
@@ -88,25 +87,6 @@ class QDeformation:
         return out
 
 
-@dataclass(frozen=True)
-class FockLabel:
-    """Occupation pair |n_a, n_b> of the two-oscillator basis."""
-
-    n_a: int
-    n_b: int
-
-    def index(self, k: int) -> int:
-        return self.n_a * k + self.n_b
-
-    def __str__(self) -> str:
-        return f"|{self.n_a},{self.n_b}>"
-
-
-def fock_basis(k: int) -> tuple[FockLabel, ...]:
-    """Product basis in n_a-major order: index = n_a*k + n_b."""
-    return tuple(FockLabel(n_a, n_b) for n_a in range(k) for n_b in range(k))
-
-
 @dataclass(frozen=True, eq=False)
 class KronPair:
     """The product-space operator kron(a, b), held as its two k x k factors."""
@@ -166,11 +146,6 @@ class QuonRep:
     @property
     def dim(self) -> int:
         return self.k * self.k
-
-    @property
-    def j(self) -> float:
-        """Spin of the diagonal multiplet this pair supports: j = (k-1)/2."""
-        return (self.k - 1) / 2
 
 
 def build_rep(k: int) -> QuonRep:
@@ -280,13 +255,6 @@ def cyclicity_residual(rep: QuonRep, turns: float | Fraction) -> float:
     )
 
 
-def _unitary_power(mat: np.ndarray, n: int) -> np.ndarray:
-    """Integer power of a unitary matrix; negative powers use the adjoint."""
-    if n >= 0:
-        return np.linalg.matrix_power(mat, n)
-    return np.linalg.matrix_power(mat.conj().T, -n)
-
-
 def build_v(rep: QuonRep) -> np.ndarray:
     """Diagonal unitary V = q^(N_a - N_b) as its k x k diagonal grid.
 
@@ -308,7 +276,8 @@ def _generators(rep: QuonRep, turns: float | Fraction):
     @cache
     def generator(m: tuple[int, int]) -> np.ndarray:
         m1, m2 = m
-        return rep.deformation.q_power(m1 * m2) * (_unitary_power(u, m1) @ _unitary_power(v, m2))
+        power = np.linalg.matrix_power
+        return rep.deformation.q_power(m1 * m2) * (power(u, m1) @ power(v, m2))
 
     return generator
 
@@ -324,17 +293,6 @@ def _bracket_residual(defm: QDeformation, generator, m, n) -> float:
     coeff = defm.q_power(-cross) - defm.q_power(cross)
     t_m, t_n = generator(m), generator(n)
     return _max_abs(t_m @ t_n - t_n @ t_m - coeff * generator((m1 + n1, m2 + n2)))
-
-
-def w_generator(rep: QuonRep, turns: float | Fraction, m1: int, m2: int) -> np.ndarray:
-    """Lattice translation generator T_(m1,m2) = q^(m1 m2) U^m1 V^m2, dense k^2 x k^2."""
-    return _generators(rep, turns)((m1, m2))
-
-
-def w_commutator_check(rep: QuonRep, turns: float | Fraction, m: tuple[int, int],
-                       n: tuple[int, int]) -> float:
-    """Max-abs residual of the sine-algebra bracket for one pair of labels."""
-    return _bracket_residual(rep.deformation, _generators(rep, turns), m, n)
 
 
 def w_algebra_residual(rep: QuonRep, turns: float | Fraction) -> float:

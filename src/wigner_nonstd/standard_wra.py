@@ -1,6 +1,6 @@
 """Exact Wigner-Racah algebra in the familiar {J^2, J3} scheme.
 
-Clebsch-Gordan coefficients and 3-jm / 6-j / 9-j symbols in the
+Clebsch-Gordan coefficients and 3-jm / 6-j symbols in the
 Condon-Shortley convention, evaluated with big-integer rational arithmetic.
 Every symbol is a signed square root of a rational number; conversion to
 float is the only lossy step, and happens only at the caller's request.
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .halfint import HalfInt, m_compatible
+from .halfint import HalfInt
 
 # Factorial table, grown on demand up to a configurable bound. The default
 # comfortably covers sums like j1+j2+j3+1 for 2j <= 200.
@@ -42,10 +42,6 @@ def _fact(n: int) -> int:
     while len(_FACTORIALS) <= n:
         _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
     return _FACTORIALS[n]
-
-
-class IncompatibleRadicalError(ValueError):
-    """Adding two exact square roots whose ratio is not a rational square."""
 
 
 def _sqrt_of_square(f: Fraction):
@@ -81,10 +77,6 @@ class ExactSqrtRational:
         return _ZERO
 
     @classmethod
-    def one(cls) -> "ExactSqrtRational":
-        return _ONE
-
-    @classmethod
     def from_sign(cls, exponent: int) -> "ExactSqrtRational":
         """(-1)**exponent as an exact value."""
         return cls(-1 if exponent % 2 else 1, Fraction(1))
@@ -99,10 +91,6 @@ class ExactSqrtRational:
         sign = 1 if coeff > 0 else -1
         return cls(sign, coeff * coeff * radicand)
 
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "ExactSqrtRational":
-        return cls.from_rational_times_sqrt(Fraction(value), Fraction(1))
-
     def is_zero(self) -> bool:
         return self.sign == 0
 
@@ -114,16 +102,6 @@ class ExactSqrtRational:
         if sign == 0:
             return ExactSqrtRational.zero()
         return ExactSqrtRational(sign, self.magnitude_squared * other.magnitude_squared)
-
-    def __add__(self, other: "ExactSqrtRational") -> "ExactSqrtRational":
-        """Exact sum; IncompatibleRadicalError unless it is a single sqrt-rational."""
-        total = RadicalSum()
-        total.add(self)
-        total.add(other)
-        return total.to_exact()
-
-    def __sub__(self, other: "ExactSqrtRational") -> "ExactSqrtRational":
-        return self + (-other)
 
     def __float__(self) -> float:
         return self.sign * math.sqrt(self.magnitude_squared)
@@ -143,10 +121,9 @@ class ExactSqrtRational:
         return f"{prefix}sqrt({self.magnitude_squared})"
 
 
-# The instance is frozen, so zero() and one() hand out one shared value each
-# instead of building and validating a new one per call.
+# The instance is frozen, so zero() hands out one shared value instead of
+# building and validating a new one per call.
 _ZERO = ExactSqrtRational(0, Fraction(0))
-_ONE = ExactSqrtRational(1, Fraction(1))
 
 
 class RadicalSum:
@@ -182,17 +159,6 @@ class RadicalSum:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._coeffs)
-
-    def to_exact(self) -> ExactSqrtRational:
-        live = [(r, c) for r, c in zip(self._radicands, self._coeffs) if c != 0]
-        if not live:
-            return ExactSqrtRational.zero()
-        if len(live) > 1:
-            raise IncompatibleRadicalError(
-                f"sum spans {len(live)} distinct radical classes; not a single sqrt"
-            )
-        radicand, coeff = live[0]
-        return ExactSqrtRational.from_rational_times_sqrt(coeff, radicand)
 
     def __float__(self) -> float:
         return float(sum(c * math.sqrt(r) for r, c in zip(self._radicands, self._coeffs)))
@@ -320,47 +286,6 @@ def sixj(j1: HalfInt, j2: HalfInt, j3: HalfInt,
         )
         total += Fraction((-1) ** t * _fact(t + 1), denom)
     return ExactSqrtRational.from_rational_times_sqrt(total, radicand)
-
-
-def ninej(j1: HalfInt, j2: HalfInt, j3: HalfInt,
-          j4: HalfInt, j5: HalfInt, j6: HalfInt,
-          j7: HalfInt, j8: HalfInt, j9: HalfInt) -> ExactSqrtRational:
-    """9-j symbol as the single sum over x of (-1)^(2x) (2x+1) times three 6-j symbols.
-
-    Exact zero on any row or column triangle failure.
-    """
-    tj1, tj2, tj3, tj4, tj5, tj6, tj7, tj8, tj9 = (
-        x.twice for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9))
-    rows = ((tj1, tj2, tj3), (tj4, tj5, tj6), (tj7, tj8, tj9))
-    cols = ((tj1, tj4, tj7), (tj2, tj5, tj8), (tj3, tj6, tj9))
-    if not _triads_ok(*rows, *cols):
-        return ExactSqrtRational.zero()
-
-    tx_lo = max(abs(tj1 - tj9), abs(tj4 - tj8), abs(tj2 - tj6))
-    tx_hi = min(tj1 + tj9, tj4 + tj8, tj2 + tj6)
-    # Every x-term shares one radical class (the x-dependent triangle
-    # coefficients pair up across the three 6-j factors), so plain exact
-    # addition suffices.
-    total = ExactSqrtRational.zero()
-    for tx in range(tx_lo, tx_hi + 1, 2):
-        x = HalfInt(tx)
-        term = (
-            sixj(j1, j4, j7, j8, j9, x)
-            * sixj(j2, j5, j8, j4, x, j6)
-            * sixj(j3, j6, j9, x, j1, j2)
-        )
-        weight = ExactSqrtRational.from_rational(Fraction((-1) ** tx * (tx + 1)))
-        total = total + weight * term
-    return total
-
-
-def metric_standard(j: HalfInt, m: HalfInt, mp: HalfInt) -> ExactSqrtRational:
-    """Standard metric tensor: (-1)^(j-m) when mp == -m, else 0."""
-    if not (m_compatible(j, m) and m_compatible(j, mp)):
-        return ExactSqrtRational.zero()
-    if mp.twice != -m.twice:
-        return ExactSqrtRational.zero()
-    return ExactSqrtRational.from_sign(_as_int(j.twice - m.twice))
 
 
 # ---------------------------------------------------------------------------

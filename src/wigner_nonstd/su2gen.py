@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .halfint import HalfInt, is_valid_j, m_values
-from .quon import FockLabel, KronPair, QuonRep, build_h, build_ur, unit_phase
+from .quon import KronPair, QuonRep, build_h, build_ur, unit_phase
 
 
 def winding_turns(j: HalfInt, r: float) -> tuple[int, int]:
@@ -76,9 +76,6 @@ class SpinSpace:
         """e^{i phi_r} with phi_r = 2 pi j r."""
         return unit_phase(*self.jr_turns)
 
-    def m_index(self, m: HalfInt) -> int:
-        return (m.twice + self.j.twice) // 2
-
 
 @dataclass(frozen=True, eq=False)
 class SpinOperatorSet:
@@ -94,15 +91,6 @@ class SpinOperatorSet:
     @cached_property
     def j_squared(self) -> np.ndarray:
         return self.j_minus @ self.j_plus + self.j3 @ self.j3 + self.j3
-
-    @property
-    def u_r_dag(self) -> np.ndarray:
-        return self.u_r.conj().T
-
-    @property
-    def casimir(self) -> np.ndarray:
-        """Alias for j_squared; equals j(j+1) times the identity."""
-        return self.j_squared
 
 
 @dataclass(frozen=True)
@@ -120,26 +108,6 @@ class ResidualReport:
     def __str__(self) -> str:
         lines = [f"  {name}: {value:.3e}" for name, value in sorted(self.residuals.items())]
         return "\n".join(lines)
-
-
-def schwinger_labels(lab_n_a: int, lab_n_b: int) -> tuple[HalfInt, HalfInt]:
-    """Map occupations (n_a, n_b) to multiplet labels (j, m)."""
-    return HalfInt(lab_n_a + lab_n_b), HalfInt(lab_n_a - lab_n_b)
-
-
-def schwinger_embed(k: int) -> dict[FockLabel, tuple[HalfInt, HalfInt]]:
-    """Bijection between the diagonal n_a + n_b = k-1 and a spin multiplet.
-
-    Maps each occupation pair |n_a, n_b) with n_a + n_b = k - 1 to the
-    state (j, m) = ((n_a+n_b)/2, (n_a-n_b)/2), covering m = -j..j for
-    j = (k-1)/2 exactly once. Keys ascend in n_a, i.e. in m.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    return {
-        FockLabel(n_a, k - 1 - n_a): schwinger_labels(n_a, k - 1 - n_a)
-        for n_a in range(k)
-    }
 
 
 def build_spin_ops(space: SpinSpace) -> SpinOperatorSet:

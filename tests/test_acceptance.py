@@ -337,8 +337,8 @@ def test_criterion_11_standard_layer_exactness(announce):
                         y = cg(j1, j2, H(pb[0]), H(pb[1]), H(tj), H(tm))
                         acc.add_term(Fraction(x.sign * y.sign),
                                      x.magnitude_squared * y.magnitude_squared)
-                    target = ExactSqrtRational.from_rational(1 if pa == pb else 0)
-                    if not (acc.to_exact() - target).is_zero():
+                    acc.add_term(Fraction(-1 if pa == pb else 0), Fraction(1))
+                    if not acc.is_zero():
                         violations += 1
             for ca in couplings:
                 for cb in couplings:
@@ -348,8 +348,8 @@ def test_criterion_11_standard_layer_exactness(announce):
                         y = cg(j1, j2, H(m1), H(m2), H(cb[0]), H(cb[1]))
                         acc.add_term(Fraction(x.sign * y.sign),
                                      x.magnitude_squared * y.magnitude_squared)
-                    target = ExactSqrtRational.from_rational(1 if ca == cb else 0)
-                    if not (acc.to_exact() - target).is_zero():
+                    acc.add_term(Fraction(-1 if ca == cb else 0), Fraction(1))
+                    if not acc.is_zero():
                         violations += 1
 
     # 3-jm symmetry generators: cyclic, odd swap, projection negation

@@ -608,6 +608,33 @@ class TestOutputFiles:
             in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("target", ["", "newfile/", "afile/"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_output_naming_no_file_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                            target, via_config):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli, "_build_table", no_table)
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "afile").write_text("kept\n")
+        monkeypatch.chdir(work)
+        argv = ["tabulate-cg", "--j1", "1/2", "--j2", "0"]
+        if via_config:
+            (tmp_path / "job.cfg").write_text(f"output = {target}\n")
+            argv += ["--config", str(tmp_path / "job.cfg")]
+        else:
+            argv += ["--output", target]
+        assert run_main(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: --output: {target!r} is not a file in an existing directory" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in work.iterdir()) == ["afile"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["work"] + ["job.cfg"] * via_config)
+        assert (work / "afile").read_text() == "kept\n"
+
     def test_output_mode_follows_umask_or_existing_file(self, tmp_path):
         argv = ["tabulate-standard", "--symbol", "sixj", "--labels", "1/2,1/2,1,1/2,1/2,1"]
         new, old = tmp_path / "new.json", tmp_path / "old.json"

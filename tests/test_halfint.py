@@ -1,22 +1,11 @@
 """Unit tests for exact half-integer labels and admissibility predicates."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from wigner_nonstd.halfint import (
-    ONE_HALF,
-    ZERO,
-    HalfInt,
-    coupled_j_values,
-    half,
-    is_valid_j,
-    m_compatible,
-    m_values,
-    require_m,
-    triangle,
-)
+from wigner_nonstd.halfint import HalfInt, coupled_j_values, is_valid_j, m_values, triangle
+
+ZERO = HalfInt(0)
 
 
 class TestConstruction:
@@ -32,12 +21,6 @@ class TestConstruction:
         with pytest.raises(TypeError):
             HalfInt(True)
 
-    def test_is_integer(self):
-        assert HalfInt(4).is_integer
-        assert not HalfInt(3).is_integer
-        assert ZERO.is_integer
-        assert not ONE_HALF.is_integer
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             HalfInt(2).twice = 5
@@ -48,10 +31,6 @@ class TestConversions:
         assert float(HalfInt(3)) == 1.5
         assert float(HalfInt(-1)) == -0.5
         assert float(ZERO) == 0.0
-
-    def test_fraction(self):
-        assert HalfInt(3).as_fraction() == Fraction(3, 2)
-        assert HalfInt(4).as_fraction() == Fraction(2)
 
     def test_str(self):
         assert str(HalfInt(3)) == "3/2"
@@ -115,55 +94,11 @@ class TestParse:
         assert HalfInt.parse(str(x)) == x
 
 
-class TestHalfCoercion:
-    @pytest.mark.parametrize(
-        "value,twice",
-        [
-            (2, 4),
-            (1.5, 3),
-            (0.5, 1),
-            (-2.0, -4),
-            (Fraction(3, 2), 3),
-            (Fraction(5), 10),
-            ("5/2", 5),
-            (HalfInt(9), 9),
-        ],
-    )
-    def test_half(self, value, twice):
-        assert half(value) == HalfInt(twice)
-
-    def test_half_rejects_non_half_values(self):
-        with pytest.raises(ValueError):
-            half(0.3)
-        with pytest.raises(ValueError):
-            half(Fraction(1, 3))
-
-    def test_half_rejects_bool_and_unknown(self):
-        with pytest.raises(TypeError):
-            half(True)
-        with pytest.raises(TypeError):
-            half(object())
-
-
 class TestPredicates:
     def test_is_valid_j(self):
         assert is_valid_j(ZERO)
         assert is_valid_j(HalfInt(5))
         assert not is_valid_j(HalfInt(-1))
-
-    def test_m_compatible_range_and_parity(self):
-        j = HalfInt(3)  # j = 3/2
-        assert m_compatible(j, HalfInt(3))
-        assert m_compatible(j, HalfInt(-1))
-        assert not m_compatible(j, HalfInt(5))  # out of range
-        assert not m_compatible(j, HalfInt(2))  # integer m on half-integer j
-
-    def test_require_m(self):
-        require_m(HalfInt(2), HalfInt(0))
-        with pytest.raises(ValueError):
-            require_m(HalfInt(2), HalfInt(1))
-        with pytest.raises(ValueError):
-            require_m(HalfInt(-2), HalfInt(0))
 
     @pytest.mark.parametrize(
         "t1,t2,t3,ok",

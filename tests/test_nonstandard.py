@@ -27,12 +27,10 @@ from wigner_nonstd.nonstandard import (
     f_small_tensor,
     fbar,
     fbar_tensor,
-    from_nonstandard,
     overlap,
     recoupling_invariance_check,
     spherical_tensor_from_j,
     tensor_to_alpha,
-    to_nonstandard,
     verify_cg_orthonormality,
     verify_eigenbasis,
     verify_fbar_symmetry,
@@ -173,7 +171,8 @@ class TestBasisMatrix:
         assert max(res["u_eigen"], res["casimir_eigen"], res["diagonalized_u"]) \
             <= DEFAULT_TOLERANCES["alpha.eigen"]
         assert res["overlap_unitary"] <= DEFAULT_TOLERANCES["alpha.unitarity"]
-        diagonal = np.diag(to_nonstandard(sp, build_spin_ops(sp).u_r))
+        m = basis_matrix(sp)
+        diagonal = np.diag(m.conj().T @ build_spin_ops(sp).u_r @ m)
         labels = np.array([lab.eigenvalue for lab in alpha_labels(sp)])
         assert np.max(np.abs(labels - diagonal)) <= DEFAULT_TOLERANCES["alpha.eigen"]
 
@@ -205,25 +204,11 @@ def test_alpha_basis_caches_stay_bounded_over_an_r_sweep():
 
 
 class TestBasisTransforms:
-    def test_round_trip_vector_and_matrix(self):
-        sp = SpinSpace(H(3), 0.37)
-        rng = np.random.default_rng(7)
-        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.max(np.abs(from_nonstandard(sp, to_nonstandard(sp, vec)) - vec)) < 1e-13
-        assert np.max(np.abs(from_nonstandard(sp, to_nonstandard(sp, mat)) - mat)) < 1e-13
-
-    def test_rejects_higher_rank_arrays(self):
-        sp = SpinSpace(H(1), 0.0)
-        with pytest.raises(ValueError):
-            to_nonstandard(sp, np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            from_nonstandard(sp, np.zeros((2, 2, 2)))
-
     def test_shift_operator_diagonalizes(self):
         sp = SpinSpace(H(4), 0.37)
         ops = build_spin_ops(sp)
-        diag = to_nonstandard(sp, ops.u_r)
+        m = basis_matrix(sp)
+        diag = m.conj().T @ ops.u_r @ m
         off = diag - np.diag(np.diag(diag))
         assert np.max(np.abs(off)) < 1e-13
         for s, lab in enumerate(alpha_labels(sp)):
@@ -619,11 +604,6 @@ class TestTensorOperator:
         sp = SpinSpace(H(2), 0.37)
         op = TensorOperator(sp, sp, H(2), np.zeros((3, 3, 3)))
         assert op.rank_space == SpinSpace(H(2), 0.37)
-
-    def test_source_tag_is_free_text(self):
-        sp = SpinSpace(H(0), 0.0)
-        op = TensorOperator(sp, sp, H(0), np.ones((1, 1, 1)), source_tag="identity")
-        assert op.source_tag == "identity"
 
 
 class TestSphericalTensorFromGenerators:

@@ -7,7 +7,6 @@ Coefficients are cross-checked along independent routes:
   highest-weight convention, never touching the closed-form sum.
 * 6-j values against the four-coefficient recoupling contraction in the
   m-basis.
-* 9-j values against the six-symbol 3-jm contraction over all projections.
 * A table of frozen exact values (also verified against sympy when it is
   installed) guards against silent regressions of either route.
 """
@@ -23,14 +22,11 @@ from wigner_nonstd.halfint import HalfInt, m_values, triangle
 from wigner_nonstd.standard_wra import (
     MAX_FACTORIAL_ARG,
     ExactSqrtRational,
-    IncompatibleRadicalError,
     RadicalSum,
     _fact,
     cg,
     cg_float,
     cg_tensor,
-    metric_standard,
-    ninej,
     sixj,
     threejm,
     threejm_tensor,
@@ -49,17 +45,10 @@ def halves(lo: float, hi: float):
 
 
 class TestExactSqrtRational:
-    def test_zero_one(self):
+    def test_zero_is_shared_and_equals_a_fresh_value(self):
         assert ExactSqrtRational.zero().is_zero()
-        assert float(ExactSqrtRational.one()) == 1.0
-
-    def test_zero_one_are_shared_and_equal_fresh_values(self):
         assert ExactSqrtRational.zero() is ExactSqrtRational.zero()
-        assert ExactSqrtRational.one() is ExactSqrtRational.one()
         assert ExactSqrtRational.zero() == ExactSqrtRational(0, Fraction(0))
-        assert ExactSqrtRational.one() == ExactSqrtRational(1, Fraction(1))
-        assert str(ExactSqrtRational.one()) == "1"
-        assert ExactSqrtRational.from_rational(0) is ExactSqrtRational.zero()
 
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError):
@@ -88,33 +77,11 @@ class TestExactSqrtRational:
         assert (a * b).signed_square == -1
         assert float(a * b) == -1.0
 
-    def test_add_same_class(self):
-        a = ExactSqrtRational(1, Fraction(2))       # sqrt(2)
-        b = ExactSqrtRational(1, Fraction(9, 2))    # 3/sqrt(2) = (3/2) sqrt 2
-        total = a + b                               # (5/2) sqrt 2
-        assert total.signed_square == Fraction(25, 2)
-
-    def test_add_cancels_exactly(self):
-        a = ExactSqrtRational(1, Fraction(7, 3))
-        assert (a - a).is_zero()
-        assert (a + (-a)).is_zero()
-
-    def test_add_incompatible_raises(self):
-        a = ExactSqrtRational(1, Fraction(2))
-        b = ExactSqrtRational(1, Fraction(3))
-        with pytest.raises(IncompatibleRadicalError):
-            a + b
-
-    def test_add_zero_identity(self):
-        a = ExactSqrtRational(-1, Fraction(5))
-        assert a + ExactSqrtRational.zero() == a
-        assert ExactSqrtRational.zero() + a == a
-
     def test_str(self):
         assert str(ExactSqrtRational.zero()) == "0"
         assert str(ExactSqrtRational(1, Fraction(5, 72))) == "sqrt(5/72)"
         assert str(ExactSqrtRational(-1, Fraction(1, 324))) == "-1/18"
-        assert str(ExactSqrtRational.from_rational(Fraction(5, 36))) == "5/36"
+        assert str(ExactSqrtRational(1, Fraction(25, 1296))) == "5/36"
 
     def test_equality_is_canonical(self):
         a = ExactSqrtRational.from_rational_times_sqrt(Fraction(1, 2), Fraction(2))
@@ -129,7 +96,8 @@ class TestRadicalSum:
         s.add_term(Fraction(1), Fraction(8))      # 2 sqrt 2
         s.add_term(Fraction(-3), Fraction(1, 2))  # -(3/2) sqrt 2
         assert math.isclose(float(s), 1.5 * math.sqrt(2.0))
-        assert s.to_exact().signed_square == Fraction(9, 2)
+        s.add_term(Fraction(-3, 2), Fraction(2))
+        assert s.is_zero()
 
     def test_exact_cancellation_across_classes(self):
         s = RadicalSum()
@@ -138,20 +106,21 @@ class TestRadicalSum:
         s.add_term(Fraction(-2), Fraction(3))
         s.add_term(Fraction(-5), Fraction(7))
         assert s.is_zero()
-        assert s.to_exact().is_zero()
 
-    def test_multi_class_to_exact_raises(self):
+    def test_multi_class_sum_is_not_zero(self):
         s = RadicalSum()
         s.add_term(Fraction(1), Fraction(2))
         s.add_term(Fraction(1), Fraction(3))
         assert not s.is_zero()
-        with pytest.raises(IncompatibleRadicalError):
-            s.to_exact()
+        s.add_term(Fraction(-1), Fraction(2))  # the sqrt 2 class cancels, sqrt 3 remains
+        assert not s.is_zero()
 
     def test_add_exact_value(self):
         s = RadicalSum()
         s.add(ExactSqrtRational(-1, Fraction(4)), scale=Fraction(3, 2))
-        assert s.to_exact().signed_square == -9
+        assert float(s) == -3.0
+        s.add_term(Fraction(3), Fraction(1))
+        assert s.is_zero()
 
 
 class TestFactorialTable:
@@ -196,12 +165,6 @@ SIXJ_FROZEN = [
     ((3, 3, 2, 1, 1, 2), Fraction(5, 72)),
 ]
 
-NINEJ_FROZEN = [
-    ((1, 1, 2, 1, 1, 2, 2, 2, 0), Fraction(-1, 324)),
-    ((1, 2, 1, 2, 1, 1, 1, 1, 2), Fraction(25, 1296)),
-    ((2, 2, 4, 1, 1, 2, 3, 3, 2), Fraction(-1, 3240)),
-]
-
 
 class TestFrozenValues:
     @pytest.mark.parametrize("t1,t2,tm1,tm2,tj,tm,square", CG_FROZEN)
@@ -217,14 +180,9 @@ class TestFrozenValues:
     def test_sixj(self, labels, square):
         assert sixj(*[H(t) for t in labels]).signed_square == square
 
-    @pytest.mark.parametrize("labels,square", NINEJ_FROZEN)
-    def test_ninej(self, labels, square):
-        assert ninej(*[H(t) for t in labels]).signed_square == square
-
     def test_display_forms(self):
         assert str(sixj(H(3), H(3), H(2), H(1), H(1), H(2))) == "sqrt(5/72)"
         assert str(sixj(H(1), H(1), H(2), H(1), H(1), H(2))) == "1/6"
-        assert str(ninej(H(1), H(1), H(2), H(1), H(1), H(2), H(2), H(2), H(0))) == "-1/18"
 
     @pytest.mark.parametrize(
         "compute,args",
@@ -234,14 +192,11 @@ class TestFrozenValues:
             (threejm, THREEJM_FROZEN[2][:6]),
             (sixj, SIXJ_FROZEN[3][0]),
             (sixj, SIXJ_FROZEN[4][0]),
-            (ninej, NINEJ_FROZEN[1][0]),
-            (ninej, NINEJ_FROZEN[2][0]),
         ],
     )
     def test_against_sympy(self, compute, args):
         wigner = pytest.importorskip("sympy.physics.wigner")
-        names = {cg: "clebsch_gordan", threejm: "wigner_3j",
-                 sixj: "wigner_6j", ninej: "wigner_9j"}
+        names = {cg: "clebsch_gordan", threejm: "wigner_3j", sixj: "wigner_6j"}
         sympy_args = [Fraction(t, 2) for t in args]
         if compute is cg:
             # sympy argument order: j1 j2 j3 m1 m2 m3
@@ -263,7 +218,6 @@ class TestSelectionRules:
     def test_triangle_violation_is_exact_zero(self):
         assert cg(H(1), H(1), H(1), H(1), H(6), H(2)).is_zero()
         assert sixj(H(1), H(1), H(6), H(1), H(1), H(2)).is_zero()
-        assert ninej(H(1), H(1), H(6), H(1), H(1), H(2), H(2), H(2), H(0)).is_zero()
 
     def test_projection_out_of_range_is_exact_zero(self):
         assert cg(H(1), H(1), H(3), H(-1), H(2), H(2)).is_zero()
@@ -273,7 +227,7 @@ class TestSelectionRules:
         assert cg(H(1), H(1), H(0), H(0), H(2), H(0)).is_zero()
 
     def test_trivial_coupling(self):
-        assert cg(H(0), H(0), H(0), H(0), H(0), H(0)) == ExactSqrtRational.one()
+        assert cg(H(0), H(0), H(0), H(0), H(0), H(0)) == ExactSqrtRational(1, Fraction(1))
         assert float(cg(H(4), H(0), H(2), H(0), H(4), H(2))) == 1.0
 
     def test_condon_shortley_stretched_positive(self):
@@ -426,55 +380,6 @@ class TestSixjRecouplingOracle:
 
 
 # ---------------------------------------------------------------------------
-# Oracle 3: six-symbol 3-jm contraction for the 9-j symbol
-
-
-def ninej_by_contraction(rows):
-    """Sum over all projections of the row and column 3-jm products."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    total = 0.0
-    for ma in range(-a, a + 1, 2):
-        for mb in range(-b, b + 1, 2):
-            mc = -ma - mb
-            if abs(mc) > c:
-                continue
-            v1 = float(threejm(H(a), H(b), H(c), H(ma), H(mb), H(mc)))
-            if v1 == 0.0:
-                continue
-            for md in range(-d, d + 1, 2):
-                for me in range(-e, e + 1, 2):
-                    mf = -md - me
-                    if abs(mf) > f:
-                        continue
-                    v2 = float(threejm(H(d), H(e), H(f), H(md), H(me), H(mf)))
-                    if v2 == 0.0:
-                        continue
-                    mg, mh, mi = -ma - md, -mb - me, -mc - mf
-                    if abs(mg) > g or abs(mh) > h or abs(mi) > i:
-                        continue
-                    v3 = float(threejm(H(g), H(h), H(i), H(mg), H(mh), H(mi)))
-                    v4 = float(threejm(H(a), H(d), H(g), H(ma), H(md), H(mg)))
-                    v5 = float(threejm(H(b), H(e), H(h), H(mb), H(me), H(mh)))
-                    v6 = float(threejm(H(c), H(f), H(i), H(mc), H(mf), H(mi)))
-                    total += v1 * v2 * v3 * v4 * v5 * v6
-    return total
-
-
-class TestNinejContractionOracle:
-    @pytest.mark.parametrize("rows", [
-        ((1, 1, 2), (1, 1, 2), (2, 2, 0)),
-        ((1, 2, 1), (2, 1, 1), (1, 1, 2)),
-        ((2, 2, 4), (1, 1, 2), (3, 3, 2)),
-        ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
-        ((1, 1, 0), (1, 1, 0), (0, 0, 0)),
-        ((2, 4, 2), (4, 2, 2), (2, 2, 4)),
-    ])
-    def test_against_contraction(self, rows):
-        lib = float(ninej(*[H(t) for row in rows for t in row]))
-        assert abs(lib - ninej_by_contraction(rows)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # Exact structural identities (zero working precision)
 
 
@@ -494,7 +399,8 @@ class TestExactIdentities:
                         acc.add_term(Fraction(left.sign * right.sign),
                                      left.magnitude_squared * right.magnitude_squared)
                 expected = 1 if (tm1, tm2) == (tn1, tn2) else 0
-                assert (acc.to_exact() - ExactSqrtRational.from_rational(expected)).is_zero()
+                acc.add_term(Fraction(-expected), Fraction(1))
+                assert acc.is_zero()
 
     def test_threejm_cyclic_symmetry_exact(self):
         for t1 in range(0, 5):
@@ -533,34 +439,6 @@ class TestExactIdentities:
             assert sixj(H(b), H(a), H(c), H(e), H(d), H(f)) == base  # swap columns 1,2
             assert sixj(H(c), H(b), H(a), H(f), H(e), H(d)) == base  # swap columns 1,3
             assert sixj(H(d), H(e), H(c), H(a), H(b), H(f)) == base  # flip rows in cols 1,2
-
-    def test_metric_standard(self):
-        j = H(3)
-        for m in m_values(j):
-            for mp in m_values(j):
-                value = metric_standard(j, m, mp)
-                if mp.twice == -m.twice:
-                    expected = ExactSqrtRational.from_sign((j.twice - m.twice) // 2)
-                    assert value == expected
-                else:
-                    assert value.is_zero()
-
-    def test_metric_contracts_threejm_to_cg(self):
-        # sum_m' metric(j, m', m) 3jm(j1 j2 j; m1 m2 m') recovers the
-        # Clebsch-Gordan coefficient up to the dimensional factor.
-        t1, t2, tj = 2, 2, 2
-        for tm1 in range(-t1, t1 + 1, 2):
-            for tm2 in range(-t2, t2 + 1, 2):
-                tm = tm1 + tm2
-                if abs(tm) > tj:
-                    continue
-                acc = 0.0
-                for tmp in range(-tj, tj + 1, 2):
-                    acc += (float(metric_standard(H(tj), H(tmp), H(tm)))
-                            * float(threejm(H(t1), H(t2), H(tj), H(tm1), H(tm2), H(tmp))))
-                direct = cg_float(H(t1), H(t2), H(tm1), H(tm2), H(tj), H(tm))
-                phase = -1.0 if ((t1 - t2 + tj) // 2) % 2 else 1.0
-                assert math.isclose(acc * phase * math.sqrt(tj + 1), direct, abs_tol=1e-13)
 
 
 # ---------------------------------------------------------------------------

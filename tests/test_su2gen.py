@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wigner_nonstd.halfint import HalfInt
-from wigner_nonstd.quon import FockLabel, KronPair, build_h, build_rep, build_ur
+from wigner_nonstd.quon import KronPair, build_h, build_rep, build_ur
 from wigner_nonstd.su2gen import (
     ResidualReport,
     SpinSpace,
@@ -14,9 +14,7 @@ from wigner_nonstd.su2gen import (
     casimir_identities,
     diagonal_multiplet_indices,
     quon_restriction_report,
-    schwinger_embed,
     restrict_fock_operator,
-    schwinger_labels,
     spin_space_for_k,
     verify_su2,
 )
@@ -31,8 +29,6 @@ class TestSpinSpace:
         sp = SpinSpace(H(3), 0.37)
         assert sp.dim == 4
         assert [m.twice for m in sp.m_list] == [-3, -1, 1, 3]
-        assert sp.m_index(H(-3)) == 0
-        assert sp.m_index(H(3)) == 3
 
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
@@ -89,39 +85,6 @@ class TestResidualReport:
         assert "alpha" in text
 
 
-class TestSchwingerLabels:
-    def test_mapping(self):
-        j, m = schwinger_labels(2, 1)
-        assert (j, m) == (H(3), H(1))
-        j, m = schwinger_labels(0, 0)
-        assert (j, m) == (H(0), H(0))
-
-    def test_embed_k2(self):
-        # |1,0) <-> |1/2, +1/2>, |0,1) <-> |1/2, -1/2>
-        emb = schwinger_embed(2)
-        assert emb == {
-            FockLabel(0, 1): (H(1), H(-1)),
-            FockLabel(1, 0): (H(1), H(1)),
-        }
-
-    def test_embed_k3_center(self):
-        # |1,1) <-> |1, 0>
-        assert schwinger_embed(3)[FockLabel(1, 1)] == (H(2), H(0))
-
-    @pytest.mark.parametrize("k", range(2, 9))
-    def test_embed_is_a_bijection_onto_the_multiplet(self, k):
-        emb = schwinger_embed(k)
-        assert len(emb) == k
-        assert all(lab.n_a + lab.n_b == k - 1 for lab in emb)
-        assert all(j == H(k - 1) for j, _ in emb.values())
-        assert sorted(m.twice for _, m in emb.values()) == list(
-            range(-(k - 1), k, 2))
-
-    def test_embed_rejects_k_below_two(self):
-        with pytest.raises(ValueError):
-            schwinger_embed(1)
-
-
 class TestGeneratorMatrices:
     def test_j3_is_m_diagonal(self):
         ops = build_spin_ops(SpinSpace(H(4), 0.0))
@@ -172,11 +135,9 @@ class TestGeneratorMatrices:
         assert ops.j_plus[0, 0] == 0.0
         assert ops.j_squared[0, 0] == 0.0
 
-    def test_adjoint_and_casimir_accessors(self):
+    def test_j_squared_accessor(self):
         ops = build_spin_ops(SpinSpace(H(3), 0.37))
-        assert np.array_equal(ops.u_r_dag, ops.u_r.conj().T)
-        assert np.array_equal(ops.casimir, ops.j_squared)
-        assert np.allclose(ops.casimir, 1.5 * 2.5 * np.eye(4), atol=1e-13)
+        assert np.allclose(ops.j_squared, 1.5 * 2.5 * np.eye(4), atol=1e-13)
 
 
 class TestAlgebraResiduals:
@@ -225,9 +186,8 @@ class TestQuonRestriction:
         k = 4
         for pos, idx in enumerate(diagonal_multiplet_indices(k)):
             n_a, n_b = divmod(idx, k)
-            j, m = schwinger_labels(n_a, n_b)
-            assert j == H(k - 1)
-            assert m.twice == -(k - 1) + 2 * pos
+            assert n_a + n_b == k - 1  # 2j
+            assert n_a - n_b == -(k - 1) + 2 * pos  # 2m
 
     def test_restrict_rejects_wrong_dimension(self):
         rep = build_rep(3)
