@@ -75,10 +75,21 @@ class TestParse:
             ("4/2", 4),
             ("5/1", 10),
             (" 7/2 ", 7),
+            ("-3/2", -3),
+            ("-5/2", -5),
+            ("+1/2", 1),
+            ("-0", 0),
+            ("12", 24),
+            ("-7/1", -14),
         ],
     )
     def test_parse(self, text, twice):
         assert HalfInt.parse(text) == HalfInt(twice)
+
+    @pytest.mark.parametrize("text", ["1/3", "1/0", "1/-2", "1.5", "", "3/2/2", "half"])
+    def test_parse_rejects(self, text):
+        with pytest.raises(ValueError):
+            HalfInt.parse(text)
 
     def test_parse_bad_denominator(self):
         with pytest.raises(ValueError):

@@ -324,6 +324,26 @@ class TestSineAlgebra:
         # the bracket closes for any fixed winding angle, not just zero
         assert w_algebra_residual(build_rep(k), Fraction(r) * (k - 1) / 2) < 1e-10
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("r", [0.0, 0.37])
+    def test_all_pairs_sweep_is_the_worst_single_bracket(self, k, r):
+        rep = build_rep(k)
+        turns = Fraction(r) * (k - 1) / 2
+        defm = rep.deformation
+        generator = _generators(rep, turns)
+        labels = [(m1, m2) for m1 in range(k) for m2 in range(k)]
+        worst = 0.0
+        for m in labels:
+            for n in labels:
+                cross = m[0] * n[1] - m[1] * n[0]
+                # -2i sin((2 pi/k) m x n), read off the deformation as q^-x - q^x
+                coeff = defm.q_power(-cross) - defm.q_power(cross)
+                t_m, t_n = generator(m), generator(n)
+                bracket = t_m @ t_n - t_n @ t_m - coeff * generator((m[0] + n[0], m[1] + n[1]))
+                worst = max(worst, float(np.max(np.abs(bracket))))
+        assert w_algebra_residual(rep, turns) == worst
+        assert worst < 1e-10
+
 
 class TestFactorizationOracle:
     """Dense np.kron operators on the k^2-dim product space, checked against the factor path."""

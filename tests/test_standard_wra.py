@@ -9,6 +9,7 @@ Coefficients are cross-checked along independent routes:
   m-basis.
 * A table of frozen exact values (also verified against sympy when it is
   installed) guards against silent regressions of either route.
+* Whole small CG, 3-jm and 6-j tables are compared exactly with sympy's.
 """
 
 import math
@@ -115,6 +116,35 @@ class TestRadicalSum:
         s.add_term(Fraction(-1), Fraction(2))  # the sqrt 2 class cancels, sqrt 3 remains
         assert not s.is_zero()
 
+    def test_add_same_class(self):
+        s = RadicalSum()
+        s.add(ExactSqrtRational(1, Fraction(2)))     # sqrt 2
+        s.add(ExactSqrtRational(1, Fraction(9, 2)))  # 3/sqrt 2 = (3/2) sqrt 2
+        assert math.isclose(float(s), 2.5 * math.sqrt(2.0))
+        s.add_term(Fraction(-5, 2), Fraction(2))
+        assert s.is_zero()
+
+    def test_add_cancels_exactly(self):
+        a = ExactSqrtRational(1, Fraction(7, 3))
+        s = RadicalSum()
+        s.add(a)
+        s.add(a, scale=Fraction(-1))
+        assert s.is_zero()
+        s.add(a)
+        s.add(-a)
+        assert s.is_zero()
+
+    def test_add_zero_identity(self):
+        s = RadicalSum()
+        s.add(ExactSqrtRational.zero(), scale=Fraction(5))
+        assert s.is_zero()
+        assert float(s) == 0.0
+        a = ExactSqrtRational(-1, Fraction(5))
+        s.add(a)
+        s.add(ExactSqrtRational.zero())
+        assert float(s) == float(a)
+        assert not s.is_zero()
+
     def test_add_exact_value(self):
         s = RadicalSum()
         s.add(ExactSqrtRational(-1, Fraction(4)), scale=Fraction(3, 2))
@@ -205,6 +235,67 @@ class TestFrozenValues:
         reference = float(getattr(wigner, names[compute])(*sympy_args))
         assert math.isclose(float(compute(*[H(t) for t in args])), reference,
                             abs_tol=1e-13)
+
+
+def sympy_signed_square(value) -> Fraction:
+    """sign(v) * v**2 of a sympy sqrt-rational, as an exact Fraction."""
+    square = value ** 2
+    assert square.is_Rational, value
+    sign = 1 if value > 0 else -1 if value < 0 else 0
+    return sign * Fraction(int(square.p), int(square.q))
+
+
+class TestSympyTables:
+    """Whole tables against sympy's exact values, compared as signed squares.
+
+    Every selection-rule zero inside the tables is compared too.
+    """
+
+    @pytest.mark.parametrize("tj1", range(5))
+    @pytest.mark.parametrize("tj2", range(5))
+    def test_cg_table(self, tj1, tj2):
+        wigner = pytest.importorskip("sympy.physics.wigner")
+        sympy = pytest.importorskip("sympy")
+        checked = 0
+        for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+            for tm1 in range(-tj1, tj1 + 1, 2):
+                for tm2 in range(-tj2, tj2 + 1, 2):
+                    for tm in range(-tj, tj + 1, 2):
+                        labels = (tj1, tj2, tj, tm1, tm2, tm)
+                        reference = wigner.clebsch_gordan(*[sympy.Rational(t, 2) for t in labels])
+                        value = cg(H(tj1), H(tj2), H(tm1), H(tm2), H(tj), H(tm))
+                        assert value.signed_square == sympy_signed_square(reference), labels
+                        checked += 1
+        assert checked >= (tj1 + 1) * (tj2 + 1)
+
+    @pytest.mark.parametrize("t1", range(5))
+    def test_threejm_table(self, t1):
+        wigner = pytest.importorskip("sympy.physics.wigner")
+        sympy = pytest.importorskip("sympy")
+        for t2 in range(5):
+            # every t3 of integer perimeter, so triangle violations give zeros
+            for t3 in range((t1 + t2) % 2, 5, 2):
+                for tm1 in range(-t1, t1 + 1, 2):
+                    for tm2 in range(-t2, t2 + 1, 2):
+                        for tm3 in range(-t3, t3 + 1, 2):
+                            labels = (t1, t2, t3, tm1, tm2, tm3)
+                            reference = wigner.wigner_3j(*[sympy.Rational(t, 2) for t in labels])
+                            value = threejm(*[H(t) for t in labels])
+                            assert value.signed_square == sympy_signed_square(reference), labels
+
+    @pytest.mark.parametrize("t1", range(4))
+    def test_sixj_table(self, t1):
+        wigner = pytest.importorskip("sympy.physics.wigner")
+        sympy = pytest.importorskip("sympy")
+        for t2 in range(4):
+            for t3 in range(4):
+                for t12 in range(abs(t1 - t2), t1 + t2 + 1, 2):
+                    for t in range(abs(t12 - t3), t12 + t3 + 1, 2):
+                        for t23 in range(abs(t2 - t3), t2 + t3 + 1, 2):
+                            labels = (t1, t2, t12, t3, t, t23)
+                            reference = wigner.wigner_6j(*[sympy.Rational(x, 2) for x in labels])
+                            value = sixj(*[H(x) for x in labels])
+                            assert value.signed_square == sympy_signed_square(reference), labels
 
 
 # ---------------------------------------------------------------------------

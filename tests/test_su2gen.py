@@ -189,6 +189,16 @@ class TestQuonRestriction:
             assert n_a + n_b == k - 1  # 2j
             assert n_a - n_b == -(k - 1) + 2 * pos  # 2m
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_multiplet_indices_are_a_bijection_onto_the_multiplet(self, k):
+        # exactly the product states with n_a + n_b = k - 1, one per 2m in -(k-1)..k-1
+        indices = diagonal_multiplet_indices(k)
+        multiplet = [n_a * k + n_b for n_a in range(k) for n_b in range(k) if n_a + n_b == k - 1]
+        assert sorted(indices) == sorted(multiplet)
+        assert len(set(indices)) == k
+        twice_m = [n_a - n_b for n_a, n_b in (divmod(idx, k) for idx in indices)]
+        assert twice_m == list(range(-(k - 1), k, 2))
+
     def test_restrict_rejects_wrong_dimension(self):
         rep = build_rep(3)
         with pytest.raises(ValueError, match="not 4 x 4"):
