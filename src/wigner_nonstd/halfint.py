@@ -8,10 +8,8 @@ appear only when a label is converted for numerical work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 
-@total_ordering
 @dataclass(frozen=True)
 class HalfInt:
     """A half-integer ``x`` stored as ``twice = 2x`` (so ``j = 3/2`` has ``twice == 3``)."""
@@ -28,17 +26,8 @@ class HalfInt:
     def __add__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.twice + other.twice)
 
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
-
-    def __lt__(self, other: "HalfInt") -> bool:
-        return self.twice < other.twice
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

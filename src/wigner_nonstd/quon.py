@@ -192,6 +192,7 @@ def relation_residuals(rep: QuonRep) -> dict[str, float]:
 
     a_mode = [KronPair(x, one) for x in (ap, am, num)]
     b_mode = [KronPair(one, y) for y in (bp, bm, num)]
+    cross = [_kron_distance(x @ y, y @ x) for x in a_mode for y in b_mode]
     return {
         "a_deformed": _max_abs(am @ ap - q * (ap @ am) - one),
         "b_deformed": _max_abs(bm @ bp - q * (bp @ bm) - one),
@@ -199,7 +200,7 @@ def relation_residuals(rep: QuonRep) -> dict[str, float]:
         "grading_a_minus": _max_abs(comm(num, am) + am),
         "grading_b_plus": _max_abs(comm(num, bp) - bp),
         "grading_b_minus": _max_abs(comm(num, bm) + bm),
-        "cross_commute": max(_kron_distance(x @ y, y @ x) for x in a_mode for y in b_mode),
+        "cross_commute": float(np.max(cross)),
         "a_plus_nilpotent": _max_abs(np.linalg.matrix_power(ap, k)),
         "a_minus_nilpotent": _max_abs(np.linalg.matrix_power(am, k)),
         "b_plus_nilpotent": _max_abs(np.linalg.matrix_power(bp, k)),
@@ -248,11 +249,11 @@ def cyclicity_residual(rep: QuonRep, turns: float | Fraction) -> float:
     u_k = build_ur(rep, turns).power(rep.k)
     wrap = unit_phase(*turns.as_integer_ratio())
     diag_a, diag_b = np.diag(u_k.a), np.diag(u_k.b)
-    return max(
+    return float(np.max([
         _max_abs(np.outer(diag_a, diag_b) - wrap),
         _max_abs(u_k.a - np.diag(diag_a)) * _max_abs(u_k.b),
         _max_abs(diag_a) * _max_abs(u_k.b - np.diag(diag_b)),
-    )
+    ]))
 
 
 def build_v(rep: QuonRep) -> np.ndarray:

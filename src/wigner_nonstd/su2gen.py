@@ -100,7 +100,8 @@ class ResidualReport:
     residuals: dict[str, float]
 
     def worst(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        """The largest residual, NaN if any is NaN, 0.0 for no residuals."""
+        return float(np.max(list(self.residuals.values()))) if self.residuals else 0.0
 
     def within(self, tol: float) -> bool:
         return self.worst() <= tol
@@ -214,7 +215,7 @@ def restrict_fock_operator(op: KronPair | np.ndarray, k: int) -> tuple[np.ndarra
     row_leak = np.abs(a[:, :, None] * b[flip][:, None, :])[:, off]
     # multiplet columns, other rows: [n, m, n'] = A[n, n'] B[m, k-1-n']
     col_leak = np.abs(a[:, None, :] * b[:, flip][None, :, :])[off]
-    leakage = float(max(np.max(row_leak, initial=0.0), np.max(col_leak, initial=0.0)))
+    leakage = float(np.maximum(np.max(row_leak, initial=0.0), np.max(col_leak, initial=0.0)))
     return block, leakage
 
 

@@ -1,21 +1,25 @@
 """Invariant suites behind the `verify` command.
 
-Each suite sweeps one family of identities over a grid and reduces every
-parameter point to a named residual. A row is made only by
-VerifyConfig.check, which pairs the check's name with its tolerance. The
-j, r and k grids come from VerifyConfig; each suite's fixed cap on them
-is one module-level value (the *_MAX constants and RANDOM_SAMPLES
-below), and the report's cap strings are derived from those values. All
-checks are pure; the only state is the seeded generator used for random
-label sampling, whose seed is recorded in the report. The suites run in
-order in one thread: their time goes to Python under the GIL (Fraction
-arithmetic, small matrices), so threads would buy nothing. Results are
-sorted.
+Each suite sweeps one family of identities over a grid and yields a
+(check, point, residual) triple for every residual it computes. Rows are
+made in one place, the _suite reducer: it keeps one row per (check, point)
+at its largest residual, a NaN at any point winning so that the row fails,
+under the check's default tolerance or config.tol. The j, r and k grids
+come from VerifyConfig; each suite's fixed cap on them is one module-level
+value (the *_MAX constants and RANDOM_SAMPLES below), and the report's cap
+strings are derived from those values. All checks are pure; the only
+state is the seeded generator used for random label sampling, whose seed
+is recorded in the report. The suites run in order in one thread: their
+time goes to Python under the GIL (Fraction arithmetic, small matrices),
+so threads would buy nothing. Results are sorted.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +34,7 @@ from .quon import (
 )
 from .standard_wra import RadicalSum, cg, sixj, threejm
 from .su2gen import (
+    ResidualReport,
     SpinOperatorSet,
     SpinSpace,
     build_spin_ops,
@@ -121,10 +126,33 @@ class VerifyConfig:
     tol: float | None = None
     seed: int = 20260823
 
-    def check(self, name: str, parameters: dict, residual: float) -> CheckResult:
-        """The row of check name at one parameter point, under its tolerance."""
-        tolerance = DEFAULT_TOLERANCES[name] if self.tol is None else self.tol
-        return CheckResult(name, dict(parameters), residual, tolerance)
+
+# What a suite generator yields: (check name, parameter point, residual).
+_Residuals = Iterator[tuple[str, dict, float]]
+
+
+def _suite(generate: Callable[[VerifyConfig], _Residuals]) -> Callable[..., list[CheckResult]]:
+    """The list-returning suite that reduces generate's residuals to rows.
+
+    One row per (check, point), at its largest residual; a NaN at any point
+    wins, so that row fails.
+    """
+    @functools.wraps(generate)
+    def suite(config: VerifyConfig) -> list[CheckResult]:
+        worst: dict[tuple[str, tuple], float] = {}
+        for name, point, residual in generate(config):
+            key = (name, tuple(point.items()))
+            prior = worst.get(key, residual)
+            worst[key] = prior if math.isnan(prior) or prior >= residual else residual
+        return [CheckResult(name, dict(point), residual,
+                            DEFAULT_TOLERANCES[name] if config.tol is None else config.tol)
+                for (name, point), residual in worst.items()]
+    return suite
+
+
+def _each(name: str, point: dict, report: ResidualReport) -> _Residuals:
+    """Every named residual of report, under check name at point."""
+    return ((name, point, value) for value in report.residuals.values())
 
 
 def _spins(limit: HalfInt) -> list[HalfInt]:
@@ -135,21 +163,18 @@ def _spins(limit: HalfInt) -> list[HalfInt]:
 # ---------------------------------------------------------------------------
 # quon suite
 
-def quon_suite(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite
+def quon_suite(config: VerifyConfig) -> _Residuals:
     for k in config.k_values:
         rep = build_rep(k)
-        res = relation_residuals(rep)
-        nil_keys = [key for key in res if key.endswith("nilpotent")]
-        out.append(config.check("quon.relations", {"k": k},
-                                max(v for key, v in res.items() if key not in nil_keys)))
-        out.append(config.check("quon.nilpotency", {"k": k}, max(res[key] for key in nil_keys)))
+        for key, value in relation_residuals(rep).items():
+            name = "quon.nilpotency" if key.endswith("nilpotent") else "quon.relations"
+            yield name, {"k": k}, value
         for r in config.r_values:
-            out.append(config.check("quon.cyclicity", {"k": k, "r": r},
-                                    cyclicity_residual(rep, Fraction(r) * (k - 1) / 2)))
+            turns = Fraction(r) * (k - 1) / 2
+            yield "quon.cyclicity", {"k": k, "r": r}, cyclicity_residual(rep, turns)
         if k <= W_INFINITY_K_MAX:
-            out.append(config.check("quon.w_infinity", {"k": k}, w_algebra_residual(rep, 0.0)))
-    return out
+            yield "quon.w_infinity", {"k": k}, w_algebra_residual(rep, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,114 +186,88 @@ def _spin_cyclicity_residual(ops: SpinOperatorSet) -> float:
     return float(np.max(np.abs(np.linalg.matrix_power(ops.u_r, space.dim) - target)))
 
 
-def _u_spectrum_residual(ops: SpinOperatorSet) -> float:
-    """Greedy multiset match of eigvals(U_r) against the predicted phases."""
+def _u_spectrum_gaps(ops: SpinOperatorSet) -> Iterator[float]:
+    """Greedy multiset match of eigvals(U_r) against the predicted phases, one gap per label."""
     computed = list(np.linalg.eigvals(ops.u_r))
-    worst = 0.0
     for label in alpha_labels(ops.space):
         gaps = [abs(value - label.eigenvalue) for value in computed]
         best = min(range(len(gaps)), key=gaps.__getitem__)
-        worst = max(worst, gaps[best])
+        yield gaps[best]
         computed.pop(best)
-    return worst
 
 
-_COMMUTATOR_KEYS = ("comm_j3_jplus", "comm_j3_jminus", "comm_jplus_jminus")
-
-
-def spin_suite(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite
+def spin_suite(config: VerifyConfig) -> _Residuals:
     for j in _spins(config.j_max):
         for r in config.r_values:
             ops = build_spin_ops(SpinSpace(j, r))
-            su2_report = verify_su2(ops).residuals
             point = {"j": str(j), "r": r}
-            out.append(config.check("spin.commutators", point,
-                                    max(su2_report[key] for key in _COMMUTATOR_KEYS)))
-            out.append(config.check("spin.structure", point, max(
-                v for key, v in su2_report.items() if key not in _COMMUTATOR_KEYS)))
-            out.append(config.check("spin.casimir", point, casimir_identities(ops).worst()))
-            out.append(config.check("spin.cyclicity", point, _spin_cyclicity_residual(ops)))
-            out.append(config.check("spin.u_spectrum", point, _u_spectrum_residual(ops)))
+            for key, value in verify_su2(ops).residuals.items():
+                name = "spin.commutators" if key.startswith("comm_") else "spin.structure"
+                yield name, point, value
+            yield from _each("spin.casimir", point, casimir_identities(ops))
+            yield "spin.cyclicity", point, _spin_cyclicity_residual(ops)
+            for gap in _u_spectrum_gaps(ops):
+                yield "spin.u_spectrum", point, gap
     for k in config.k_values:
         if k <= RESTRICTION_K_MAX:
             rep = build_rep(k)
             for r in config.r_values:
-                out.append(config.check("spin.quon_restriction", {"k": k, "r": r},
-                                        quon_restriction_report(rep, r).worst()))
-    return out
+                yield from _each("spin.quon_restriction", {"k": k, "r": r},
+                                 quon_restriction_report(rep, r))
 
 
 # ---------------------------------------------------------------------------
 # alpha-scheme suite
 
-def alpha_suite(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite
+def alpha_suite(config: VerifyConfig) -> _Residuals:
     for j in _spins(config.j_max):
         for r in config.r_values:
-            report = verify_eigenbasis(SpinSpace(j, r)).residuals
             point = {"j": str(j), "r": r}
-            out.append(config.check("alpha.eigen", point, max(
-                report["u_eigen"], report["casimir_eigen"], report["diagonalized_u"])))
-            out.append(config.check("alpha.unitarity", point, report["overlap_unitary"]))
-    return out
+            for key, value in verify_eigenbasis(SpinSpace(j, r)).residuals.items():
+                name = "alpha.unitarity" if key == "overlap_unitary" else "alpha.eigen"
+                yield name, point, value
 
 
-def _interchange_residual(j1: HalfInt, j2: HalfInt, r: float) -> float:
-    """Swap symmetry of the coupling coefficients against (-1)^(j1+j2-j)."""
-    sp1, sp2 = SpinSpace(j1, r), SpinSpace(j2, r)
-    worst = 0.0
-    for j in coupled_j_values(j1, j2):
-        sp = SpinSpace(j, r)
-        direct = cg_nonstandard_tensor(sp1, sp2, sp)
-        swapped = np.transpose(cg_nonstandard_tensor(sp2, sp1, sp), (1, 0, 2))
-        sign = -1.0 if ((j1.twice + j2.twice - j.twice) // 2) % 2 else 1.0
-        worst = max(worst, float(np.max(np.abs(swapped - sign * direct))))
-    return worst
-
-
-def coupling_suite(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite
+def coupling_suite(config: VerifyConfig) -> _Residuals:
     for r in config.r_values:
         for j1, j2 in itertools.product(_spins(COUPLING_J_MAX), repeat=2):
             point = {"j1": str(j1), "j2": str(j2), "r": r}
-            out.append(config.check("coupling.orthonormality", point, verify_cg_orthonormality(
-                SpinSpace(j1, r), SpinSpace(j2, r)).worst()))
-            out.append(config.check("coupling.interchange", point,
-                                    _interchange_residual(j1, j2, r)))
+            sp1, sp2 = SpinSpace(j1, r), SpinSpace(j2, r)
+            yield from _each("coupling.orthonormality", point, verify_cg_orthonormality(sp1, sp2))
+            # swap symmetry of the coupling coefficients against (-1)^(j1+j2-j)
+            for j in coupled_j_values(j1, j2):
+                sp = SpinSpace(j, r)
+                direct = cg_nonstandard_tensor(sp1, sp2, sp)
+                swapped = np.transpose(cg_nonstandard_tensor(sp2, sp1, sp), (1, 0, 2))
+                sign = -1.0 if ((j1.twice + j2.twice - j.twice) // 2) % 2 else 1.0
+                yield "coupling.interchange", point, float(np.max(np.abs(swapped - sign * direct)))
     rng = np.random.default_rng(config.seed)
     for r in config.r_values:
-        worst = 0.0
+        point = {"samples": RANDOM_SAMPLES, "seed": config.seed, "j_max": str(RANDOM_J_MAX), "r": r}
         for _ in range(RANDOM_SAMPLES):
             j1 = HalfInt(int(rng.integers(0, RANDOM_J_MAX.twice + 1)))
             j2 = HalfInt(int(rng.integers(0, RANDOM_J_MAX.twice + 1)))
-            worst = max(worst, verify_cg_orthonormality(
-                SpinSpace(j1, r), SpinSpace(j2, r)).worst())
-        out.append(config.check("coupling.orthonormality_random", {
-            "samples": RANDOM_SAMPLES, "seed": config.seed, "j_max": str(RANDOM_J_MAX), "r": r,
-        }, worst))
-    return out
+            yield from _each("coupling.orthonormality_random", point,
+                             verify_cg_orthonormality(SpinSpace(j1, r), SpinSpace(j2, r)))
 
 
-def fbar_suite(config: VerifyConfig) -> list[CheckResult]:
+@_suite
+def fbar_suite(config: VerifyConfig) -> _Residuals:
     """Permutation/conjugation rules and realness parity, j1 + j2 + j3 <= FBAR_SUM_MAX."""
-    out = []
     triples = [js for js in itertools.product(_spins(FBAR_SUM_MAX), repeat=3)
                if sum(j.twice for j in js) <= FBAR_SUM_MAX.twice]
     for r in config.r_values:
-        worst_sym = 0.0
-        worst_parity = 0.0
+        point = {"sum_max": str(FBAR_SUM_MAX), "r": r}
         for js in triples:
             spaces = tuple(SpinSpace(j, r) for j in js)
-            worst_sym = max(worst_sym, verify_fbar_symmetry(*spaces).worst())
+            yield from _each("fbar.symmetry", point, verify_fbar_symmetry(*spaces))
             tensor = fbar_tensor(*spaces)
             # the symbol is real when j1 + j2 + j3 is even, imaginary when odd
             stray = tensor.real if (sum(j.twice for j in js) // 2) % 2 else tensor.imag
-            worst_parity = max(worst_parity, float(np.max(np.abs(stray))))
-        point = {"sum_max": str(FBAR_SUM_MAX), "r": r}
-        out.append(config.check("fbar.symmetry", point, worst_sym))
-        out.append(config.check("fbar.parity", point, worst_parity))
-    return out
+            yield "fbar.parity", point, float(np.max(np.abs(stray)))
 
 
 def _recoupling_paths(limit: HalfInt) -> list[tuple[HalfInt, ...]]:
@@ -286,34 +285,26 @@ def _recoupling_paths(limit: HalfInt) -> list[tuple[HalfInt, ...]]:
     return paths
 
 
-def recoupling_suite(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite
+def recoupling_suite(config: VerifyConfig) -> _Residuals:
     paths = _recoupling_paths(RECOUPLING_J_MAX)
     for r in config.r_values[:RECOUPLING_R_COUNT]:
-        worst = 0.0
-        for j1, j2, j3, j12, j23, j in paths:
-            report = recoupling_invariance_check(j1, j2, j3, j12, j23, j, r)
-            worst = max(worst, report.worst())
-        out.append(config.check("recoupling.sixj", {
-            "args_max": str(RECOUPLING_J_MAX), "paths": len(paths), "r": r}, worst))
-    return out
+        point = {"args_max": str(RECOUPLING_J_MAX), "paths": len(paths), "r": r}
+        for path in paths:
+            yield from _each("recoupling.sixj", point, recoupling_invariance_check(*path, r))
 
 
-def wigner_eckart_suite(config: VerifyConfig) -> list[CheckResult]:
-    out = []
-    reduced: dict[tuple[str, int], list[complex]] = {}
-    for j in _spins(WIGNER_ECKART_J_MAX):
-        for rank in (1, 2):
-            for r in config.r_values:
-                ops = build_spin_ops(SpinSpace(j, r))
-                result = wigner_eckart_check(spherical_tensor_from_j(ops, rank))
-                out.append(config.check("wigner_eckart.residual",
-                                        {"j": str(j), "rank": rank, "r": r}, result.residual))
-                reduced.setdefault((str(j), rank), []).append(result.reduced_element)
-    for (jt, rank), values in sorted(reduced.items()):
-        spread = max(abs(v - values[0]) for v in values)
-        out.append(config.check("wigner_eckart.r_independent", {"j": jt, "rank": rank}, spread))
-    return out
+@_suite
+def wigner_eckart_suite(config: VerifyConfig) -> _Residuals:
+    for j, rank in itertools.product(_spins(WIGNER_ECKART_J_MAX), (1, 2)):
+        point = {"j": str(j), "rank": rank}
+        first = None
+        for r in config.r_values:
+            ops = build_spin_ops(SpinSpace(j, r))
+            result = wigner_eckart_check(spherical_tensor_from_j(ops, rank))
+            first = result.reduced_element if first is None else first
+            yield "wigner_eckart.residual", {**point, "r": r}, result.residual
+            yield "wigner_eckart.r_independent", point, abs(result.reduced_element - first)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +390,13 @@ def _exact_sixj_symmetry_violations(limit: HalfInt) -> int:
     return int(np.count_nonzero(differs))
 
 
-def standard_suite(config: VerifyConfig) -> list[CheckResult]:
-    point = {"args_max": str(STANDARD_J_MAX)}
-    return [
-        config.check(name, point, float(count(STANDARD_J_MAX)))
-        for name, count in (
-            ("standard.cg_orthogonality", _exact_cg_orthogonality_violations),
-            ("standard.threejm_symmetry", _exact_threejm_symmetry_violations),
-            ("standard.sixj_symmetry", _exact_sixj_symmetry_violations),
-        )
-    ]
+@_suite
+def standard_suite(config: VerifyConfig) -> _Residuals:
+    limit = STANDARD_J_MAX
+    point = {"args_max": str(limit)}
+    yield "standard.cg_orthogonality", point, float(_exact_cg_orthogonality_violations(limit))
+    yield "standard.threejm_symmetry", point, float(_exact_threejm_symmetry_violations(limit))
+    yield "standard.sixj_symmetry", point, float(_exact_sixj_symmetry_violations(limit))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ class TestResidualReport:
     def test_empty_report(self):
         assert ResidualReport({}).worst() == 0.0
 
+    def test_a_nan_is_the_worst_in_either_key_order(self):
+        for residuals in ({"a": 0.0, "b": math.nan}, {"a": math.nan, "b": 0.0}):
+            rep = ResidualReport(residuals)
+            assert math.isnan(rep.worst())
+            assert not rep.within(1.0)
+
     def test_str_lists_entries(self):
         text = str(ResidualReport({"alpha": 1e-13}))
         assert "alpha" in text

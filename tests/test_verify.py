@@ -4,10 +4,12 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import threading
 
-from wigner_nonstd import verify
+from wigner_nonstd import cli, verify
 from wigner_nonstd.halfint import HalfInt
+from wigner_nonstd.su2gen import ResidualReport
 from wigner_nonstd.verify import DEFAULT_TOLERANCES, CheckResult, VerifyConfig, run_suites
 
 # The (check, parameters) rows of the default grid with k = 2..22, as the
@@ -72,6 +74,84 @@ def test_tol_overrides_every_tolerance():
     results = run_suites(config)
     assert {c.name for c in results} == set(DEFAULT_TOLERANCES)
     assert {c.tolerance for c in results} == {1e-3}
+
+
+# The smallest grid that runs every suite: one j, one r and one k.
+ONE_POINT = VerifyConfig(j_max=HalfInt(0), r_values=(0.0,), k_values=(2,))
+
+
+def test_every_suite_returns_its_rows_under_a_distinct_label():
+    # a timing wrapper calls each entry, counts its rows with len() and
+    # names it by its __name__ less "_suite"
+    labels = set()
+    total = 0
+    for suite in verify.SUITES:
+        rows = suite(ONE_POINT)
+        assert isinstance(rows, list) and all(isinstance(c, CheckResult) for c in rows)
+        labels.add(suite.__name__.removesuffix("_suite"))
+        total += len(rows)
+    assert labels == {"quon", "spin", "alpha", "coupling", "fbar", "recoupling",
+                      "wigner_eckart", "standard"}
+    assert total == len(run_suites(ONE_POINT))
+
+
+def test_the_reducer_keeps_each_rows_largest_residual_and_any_nan():
+    @verify._suite
+    def fake_suite(config):
+        for point, residuals in (({"k": 2}, (1.0, 3.0, 2.0)), ({"k": 3}, (1.0, math.nan, 2.0)),
+                                 ({"k": 4}, (math.nan, 5.0))):
+            for residual in residuals:
+                yield "quon.relations", point, residual
+        yield "quon.nilpotency", {"k": 2}, 0.0
+
+    rows = fake_suite(VerifyConfig(tol=4.0))
+    assert fake_suite.__name__ == "fake_suite"
+    assert [(c.name, c.parameters) for c in rows] == [
+        ("quon.relations", {"k": 2}), ("quon.relations", {"k": 3}),
+        ("quon.relations", {"k": 4}), ("quon.nilpotency", {"k": 2})]
+    assert rows[0].residual == 3.0 and rows[0].passed
+    assert math.isnan(rows[1].residual) and math.isnan(rows[2].residual)
+    assert not rows[1].passed and not rows[2].passed
+    assert {c.tolerance for c in rows} == {4.0}
+
+
+def _nan_once(monkeypatch, name, hit):
+    """Replace verify.<name> so that the first call where hit(*args) holds adds a NaN residual."""
+    func = getattr(verify, name)
+    calls = []
+
+    def probe(*args):
+        report = func(*args)
+        if not calls and hit(*args):
+            calls.append(args)
+            return ResidualReport({**report.residuals, "probe": math.nan})
+        return report
+
+    monkeypatch.setattr(verify, name, probe)
+    return calls
+
+
+def _nan_at_one_random_draw_and_one_path(monkeypatch):
+    # only the random draws reach j1 above COUPLING_J_MAX; the path is one of many
+    draw = _nan_once(monkeypatch, "verify_cg_orthonormality",
+                     lambda sp1, sp2: sp1.j.twice > verify.COUPLING_J_MAX.twice)
+    path = _nan_once(monkeypatch, "recoupling_invariance_check",
+                     lambda *args: [j.twice for j in args[:6]] == [1, 1, 1, 2, 2, 1])
+    return draw, path
+
+
+def test_a_nan_at_one_point_fails_its_aggregated_row(monkeypatch, capsys):
+    draw, path = _nan_at_one_random_draw_and_one_path(monkeypatch)
+    rows = verify.coupling_suite(ONE_POINT) + verify.recoupling_suite(ONE_POINT)
+    assert len(draw) == 1 and len(path) == 1
+    failed = [c for c in rows if not c.passed]
+    assert [c.name for c in failed] == ["coupling.orthonormality_random", "recoupling.sixj"]
+    assert all(math.isnan(c.residual) for c in failed)
+    assert not any(math.isnan(c.residual) for c in rows if c.passed)
+
+    _nan_at_one_random_draw_and_one_path(monkeypatch)
+    assert cli.main(["verify", "--j-max", "1", "--k", "2", "--r", "0"]) == 1
+    assert "checks passed" in capsys.readouterr().err
 
 
 def _negated_when_j1_exceeds_j2(symbol):
