@@ -16,7 +16,8 @@ alphas that round to one float keep s order. CSV output adds magnitude
 and phase columns. Each command builds its output as text chunks, and emit
 streams them to stdout or --output. Table rows in both formats, and export-ops
 CSV, come from one text template per block; JSON is byte for byte what
-json.dump with a two-space indent writes, and CSV what csv.writer writes. A job
+json.dump with a two-space indent writes, except that a non-finite float (a
+failing verify residual) is null, and CSV what csv.writer writes. A job
 is refused (bad or missing flags, non-finite values, over MAX_ROWS rows) before
 any byte is written. A config file in key = value form may supply any long
 flag's value; other keys are refused, and explicit flags win.
@@ -382,8 +383,10 @@ def _json_chunks(value, level: int) -> Iterator[str]:
     ndarray is written as its nested [re, im] lists, and a _Block as its rows, spliced in."""
     if isinstance(value, str):
         yield _quote(value)
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield "null"  # strict JSON has no NaN or Infinity; only a failing residual gets here
     elif value is None or isinstance(value, (int, float)):
-        yield json.dumps(value)  # json's own spelling: true, null, NaN, 1e+20
+        yield json.dumps(value)  # json's own spelling: true, null, 1e+20
     elif isinstance(value, np.ndarray):
         yield _array_text(value, level)
     elif isinstance(value, _Block):

@@ -19,7 +19,9 @@ The relation and cyclicity checks therefore cost O(k^3) time and O(k^2)
 memory. Only the sine-algebra generators T_(m1,m2) are formed as dense
 k^2 x k^2 matrices, for the small k at which that bracket is checked
 entrywise. The all-pairs sweep (w_algebra_residual) builds U_r and V
-once and each T once.
+once and each T once, and runs each unordered pair of labels once: the
+residual matrix of (n, m) is exactly the negated one of (m, n), and that
+of (m, m) is exactly zero.
 Every phase in the package comes from unit_phase, in integer turns reduced
 exactly; the winding of U_r is passed in turns, phi_r/(2 pi).
 """
@@ -297,7 +299,14 @@ def _bracket_residual(defm: QDeformation, generator, m, n) -> float:
 
 
 def w_algebra_residual(rep: QuonRep, turns: float | Fraction) -> float:
-    """Worst sine-bracket residual over all label pairs m, n in [0, k-1]^2."""
+    """Worst sine-bracket residual over all label pairs m, n in [0, k-1]^2; a NaN wins.
+
+    Each unordered pair runs once. Swapping m and n swaps the two products
+    and negates m x n, and so the coefficient; as IEEE rounding is
+    symmetric, every entry of the residual is negated exactly. m = n gives
+    an exact zero.
+    """
     generator = _generators(rep, turns)
-    labels = list(itertools.product(range(rep.k), repeat=2))
-    return max(_bracket_residual(rep.deformation, generator, m, n) for m in labels for n in labels)
+    labels = itertools.product(range(rep.k), repeat=2)
+    return float(np.max([_bracket_residual(rep.deformation, generator, m, n)
+                         for m, n in itertools.combinations(labels, 2)]))

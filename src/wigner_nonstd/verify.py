@@ -311,57 +311,86 @@ def wigner_eckart_suite(config: VerifyConfig) -> _Residuals:
 # standard-layer exactness suite (zero rational residue)
 
 def _residue_count(rows: list) -> int:
-    """Pairs of rows whose exact dot product is not delta (1 for a row with itself, else 0)."""
+    """Ordered pairs of rows whose exact dot product is not delta (1 for a row with itself, else 0).
+
+    The dot product is symmetric, so each unordered pair is summed once and
+    counted twice.
+    """
     bad = 0
-    for (i, a), (k, b) in itertools.product(enumerate(rows), repeat=2):
+    for (i, a), (k, b) in itertools.combinations_with_replacement(enumerate(rows), 2):
         total = RadicalSum()
         for x, y in zip(a, b):
-            total.add(x * y)
+            total.add_term(x.sign * y.sign, x.magnitude_squared * y.magnitude_squared)
         if i == k:
             total.add_term(Fraction(-1), Fraction(1))
         if not total.is_zero():
-            bad += 1
+            bad += 1 if i == k else 2
     return bad
 
 
 def _exact_cg_orthogonality_violations(limit: HalfInt) -> int:
-    """Count label sets where either orthonormality relation has a residue.
+    """Count the residues of both orthonormality relations of the CG matrix.
 
     The relations say the CG matrix, rows (m1, m2) and columns (j, m), has
-    orthonormal columns and orthonormal rows.
+    orthonormal columns and orthonormal rows. The matrix is block-diagonal
+    in m = m1 + m2, so the count is its nonzero entries off the blocks plus
+    each block's row and column pairs with a residue; the pairs that span
+    two blocks have disjoint supports once the off-block entries are zero.
     """
     bad = 0
     for j1, j2 in itertools.product(_spins(limit), repeat=2):
         coupled = [(j, m) for j in coupled_j_values(j1, j2) for m in m_values(j)]
-        matrix = [[cg(j1, j2, m1, m2, j, m) for j, m in coupled]
-                  for m1 in m_values(j1) for m2 in m_values(j2)]
-        bad += _residue_count(list(zip(*matrix))) + _residue_count(matrix)
+        labels = [(m1, m2) for m1 in m_values(j1) for m2 in m_values(j2)]
+        matrix = np.array([[cg(j1, j2, m1, m2, j, m) for j, m in coupled] for m1, m2 in labels],
+                          dtype=object)
+        row_m = np.array([m1.twice + m2.twice for m1, m2 in labels])
+        col_m = np.array([m.twice for _, m in coupled])
+        in_block = row_m[:, None] == col_m[None, :]
+        bad += sum(not value.is_zero() for value in matrix[~in_block])
+        for m in m_values(j1 + j2):
+            block = matrix[np.ix_(row_m == m.twice, col_m == m.twice)]
+            bad += _residue_count(block.tolist()) + _residue_count(block.T.tolist())
     return bad
+
+
+def _interned(values: np.ndarray, ids: dict) -> np.ndarray:
+    """values as ints: each exact value becomes the id in ids of the first value equal to it.
+
+    ids is keyed by (sign, numerator, denominator) of the value's square, which
+    Fraction keeps in lowest terms, so two entries are equal exactly when their
+    ids are; an int tuple hashes several times faster than a Fraction.
+    """
+    keys = ((value.sign, value.magnitude_squared.numerator, value.magnitude_squared.denominator)
+            for value in values.flat)
+    return np.fromiter((ids.setdefault(key, len(ids)) for key in keys),
+                       dtype=np.intp, count=values.size).reshape(values.shape)
 
 
 def _exact_threejm_symmetry_violations(limit: HalfInt) -> int:
-    """Cyclic, odd-permutation and m-negation rules as exact equalities."""
-    bad = 0
-    for j1, j2, j3 in itertools.product(_spins(limit), repeat=3):
-        if not triangle(j1, j2, j3):
-            continue
-        sign_exp = (j1.twice + j2.twice + j3.twice) // 2
-        for m1 in m_values(j1):
-            for m2 in m_values(j2):
-                m3 = -(m1 + m2)
-                if abs(m3.twice) > j3.twice:
-                    continue
-                base = threejm(j1, j2, j3, m1, m2, m3)
-                signed = -base if sign_exp % 2 else base
-                checks = (
-                    threejm(j2, j3, j1, m2, m3, m1) == base,
-                    threejm(j3, j1, j2, m3, m1, m2) == base,
-                    threejm(j2, j1, j3, m2, m1, m3) == signed,
-                    threejm(j1, j2, j3, -m1, -m2, -m3) == signed,
-                )
-                if not all(checks):
-                    bad += 1
-    return bad
+    """Cyclic, odd-permutation and m-negation rules as exact equalities.
+
+    The symbol is computed once on the (j, m)^3 grid; its cyclic and
+    swapped images are transposes and its m-negated image a gather, each
+    compared with the symbol or with its (-1)^(j1+j2+j3)-signed copy.
+    """
+    pairs = [(j, m) for j in _spins(limit) for m in m_values(j)]
+    values = np.array([threejm(j1, j2, j3, m1, m2, m3)
+                       for (j1, m1), (j2, m2), (j3, m3) in itertools.product(pairs, repeat=3)],
+                      dtype=object).reshape((len(pairs),) * 3)
+    twice_j = np.array([j.twice for j, _ in pairs])
+    odd = (twice_j[:, None, None] + twice_j[None, :, None] + twice_j[None, None, :]) // 2 % 2 == 1
+    minus_m = [pairs.index((j, -m)) for j, m in pairs]
+    ids = {}
+    base = _interned(values, ids)
+    # key i of ids has id i, so this maps each id to the id of the negated value
+    negated_id = np.array([ids.setdefault((-sign, num, den), len(ids))
+                           for sign, num, den in list(ids)])
+    signed = np.where(odd, negated_id[base], base)
+    differs = ((np.transpose(base, (2, 0, 1)) != base)
+               | (np.transpose(base, (1, 2, 0)) != base)
+               | (np.transpose(base, (1, 0, 2)) != signed)
+               | (base[np.ix_(minus_m, minus_m, minus_m)] != signed))
+    return int(np.count_nonzero(differs))
 
 
 # The nine symmetry images of {j1 j2 j3; j4 j5 j6}, each as the argument positions
@@ -377,16 +406,17 @@ _SIXJ_IMAGES = [perm + tuple(p + 3 for p in perm) for perm in itertools.permutat
 def _exact_sixj_symmetry_violations(limit: HalfInt) -> int:
     """Column permutations and row-pair swaps as exact equalities.
 
-    Each symbol on the grid is computed once; the image of every label set
-    under a symmetry is read from a transpose of that array, so each
-    comparison is between two separately computed values.
+    Each symbol on the grid is computed once and interned; the image of
+    every label set under a symmetry is read from a transpose of the id
+    array, so each comparison is between two separately computed values.
     """
     spins = _spins(limit)
     values = np.fromiter((sixj(*args) for args in itertools.product(spins, repeat=6)),
                          dtype=object, count=len(spins) ** 6).reshape((len(spins),) * 6)
+    ids = _interned(values, {})
     differs = np.zeros(values.shape, dtype=bool)
     for image in _SIXJ_IMAGES:
-        differs |= np.transpose(values, np.argsort(image)) != values
+        differs |= np.transpose(ids, np.argsort(image)) != ids
     return int(np.count_nonzero(differs))
 
 

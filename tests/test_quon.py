@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wigner_nonstd import quon
 from wigner_nonstd.quon import (
     MAX_K,
     KronPair,
@@ -324,7 +325,8 @@ class TestSineAlgebra:
         # the bracket closes for any fixed winding angle, not just zero
         assert w_algebra_residual(build_rep(k), Fraction(r) * (k - 1) / 2) < 1e-10
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    # the ordered all-pairs loop is the oracle for the sweep over unordered pairs
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("r", [0.0, 0.37])
     def test_all_pairs_sweep_is_the_worst_single_bracket(self, k, r):
         rep = build_rep(k)
@@ -343,6 +345,18 @@ class TestSineAlgebra:
                 worst = max(worst, float(np.max(np.abs(bracket))))
         assert w_algebra_residual(rep, turns) == worst
         assert worst < 1e-10
+
+    def test_a_nan_bracket_after_the_first_pair_wins(self, monkeypatch):
+        bracket = quon._bracket_residual
+        calls = []
+
+        def probe(defm, generator, m, n):
+            calls.append((m, n))
+            return math.nan if (m, n) == ((0, 1), (1, 0)) else bracket(defm, generator, m, n)
+
+        monkeypatch.setattr(quon, "_bracket_residual", probe)
+        assert math.isnan(w_algebra_residual(build_rep(2), 0.0))
+        assert calls.index(((0, 1), (1, 0))) > 0
 
 
 class TestFactorizationOracle:

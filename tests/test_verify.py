@@ -1,14 +1,18 @@
 """Tests for the verify suites' grid: which checks the default run emits."""
 
 import collections
+import csv
 import hashlib
+import io
 import itertools
 import json
 import math
 import threading
+from fractions import Fraction
 
 from wigner_nonstd import cli, verify
 from wigner_nonstd.halfint import HalfInt
+from wigner_nonstd.standard_wra import ExactSqrtRational
 from wigner_nonstd.su2gen import ResidualReport
 from wigner_nonstd.verify import DEFAULT_TOLERANCES, CheckResult, VerifyConfig, run_suites
 
@@ -154,6 +158,37 @@ def test_a_nan_at_one_point_fails_its_aggregated_row(monkeypatch, capsys):
     assert "checks passed" in capsys.readouterr().err
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_a_failing_report_is_strict_json_with_null_for_a_nan_residual(monkeypatch, capsys):
+    argv = ["verify", "--j-max", "1", "--k", "2", "--r", "0"]
+    failing = ["coupling.orthonormality_random", "recoupling.sixj"]
+    _nan_at_one_random_draw_and_one_path(monkeypatch)
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse)
+    assert [c["check"] for c in report["checks"] if not c["pass"]] == failing
+    assert [c["check"] for c in report["checks"] if c["residual"] is None] == failing
+    assert report["failed"] == 2 and report["all_pass"] is False
+
+    # CSV keeps the NaN, and the row still fails
+    _nan_at_one_random_draw_and_one_path(monkeypatch)
+    assert cli.main(argv + ["--format", "csv"]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["check"], row["residual"]) for row in rows if row["pass"] == "False"] == [
+        (name, "nan") for name in failing]
+
+
+def test_a_non_finite_float_is_written_as_json_null():
+    document = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "finite": [1.5, 1e20]}
+    text = "".join(cli._json_chunks(document, 0))
+    assert json.loads(text, parse_constant=_refuse) == {
+        "nan": None, "inf": None, "-inf": None, "finite": [1.5, 1e20]}
+    finite = {"finite": [1.5, 1e20, -0.0], "int": 3, "none": None, "bool": True}
+    assert "".join(cli._json_chunks(finite, 0)) == json.dumps(finite, indent=2)
+
+
 def _negated_when_j1_exceeds_j2(symbol):
     """symbol with every nonzero value negated where 2j1 > 2j2."""
     def mutant(*args):
@@ -177,8 +212,33 @@ def _sixj_violations_by_loop(limit):
     return bad
 
 
-# 551 and 267 are the counts of per-label-set loops; _sixj_violations_by_loop
-# keeps the 6-j one as the reference for the array form of the check.
+def _threejm_violations_by_loop(limit):
+    """The 3-jm symmetry count as a loop over label sets, each image a fresh threejm call."""
+    bad = 0
+    for j1, j2, j3 in itertools.product(verify._spins(limit), repeat=3):
+        if not verify.triangle(j1, j2, j3):
+            continue
+        sign_exp = (j1.twice + j2.twice + j3.twice) // 2
+        for m1 in verify.m_values(j1):
+            for m2 in verify.m_values(j2):
+                m3 = -(m1 + m2)
+                if abs(m3.twice) > j3.twice:
+                    continue
+                base = verify.threejm(j1, j2, j3, m1, m2, m3)
+                signed = -base if sign_exp % 2 else base
+                checks = (
+                    verify.threejm(j2, j3, j1, m2, m3, m1) == base,
+                    verify.threejm(j3, j1, j2, m3, m1, m2) == base,
+                    verify.threejm(j2, j1, j3, m2, m1, m3) == signed,
+                    verify.threejm(j1, j2, j3, -m1, -m2, -m3) == signed,
+                )
+                if not all(checks):
+                    bad += 1
+    return bad
+
+
+# 551 and 267 are the counts of per-label-set loops; the two loops above are
+# the references for the array forms of the checks.
 def test_sixj_symmetry_check_counts_a_sign_mutant_as_the_loop_does(monkeypatch):
     assert verify._exact_sixj_symmetry_violations(verify.STANDARD_J_MAX) == 0
     monkeypatch.setattr(verify, "sixj", _negated_when_j1_exceeds_j2(verify.sixj))
@@ -188,5 +248,34 @@ def test_sixj_symmetry_check_counts_a_sign_mutant_as_the_loop_does(monkeypatch):
 
 def test_threejm_symmetry_check_counts_a_sign_mutant(monkeypatch):
     assert verify._exact_threejm_symmetry_violations(verify.STANDARD_J_MAX) == 0
+    assert _threejm_violations_by_loop(verify.STANDARD_J_MAX) == 0
     monkeypatch.setattr(verify, "threejm", _negated_when_j1_exceeds_j2(verify.threejm))
     assert verify._exact_threejm_symmetry_violations(verify.STANDARD_J_MAX) == 267
+    assert _threejm_violations_by_loop(verify.STANDARD_J_MAX) == 267
+
+
+def _cg_changed_at(labels, change):
+    """cg with change applied to its value at the label set whose doubled labels are labels."""
+    cg = verify.cg
+
+    def mutant(*args):
+        value = cg(*args)
+        return change(value) if tuple(j.twice for j in args) == labels else value
+    return mutant
+
+
+def test_cg_orthogonality_counts_a_nonzero_off_the_m_block(monkeypatch):
+    # (1/2 1/2 1/2 1/2 | 1 0) has m1 + m2 != m; the one nonzero entry is counted once
+    monkeypatch.setattr(verify, "cg", _cg_changed_at(
+        (1, 1, 1, 1, 2, 0), lambda value: ExactSqrtRational(1, Fraction(1, 2))))
+    assert verify._exact_cg_orthogonality_violations(verify.STANDARD_J_MAX) == 1
+
+
+def test_cg_orthogonality_counts_a_rescaled_entry_in_its_block(monkeypatch):
+    assert verify._exact_cg_orthogonality_violations(verify.STANDARD_J_MAX) == 0
+    # doubling (1/2 1/2 1/2 -1/2 | 1 0) spoils one column norm and one column pair, counted
+    # in both orders, and the same for rows
+    monkeypatch.setattr(verify, "cg", _cg_changed_at(
+        (1, 1, 1, -1, 2, 0),
+        lambda value: ExactSqrtRational(value.sign, 4 * value.magnitude_squared)))
+    assert verify._exact_cg_orthogonality_violations(verify.STANDARD_J_MAX) == 6
