@@ -19,8 +19,8 @@ CSV, come from one text template per block; JSON is byte for byte what
 json.dump with a two-space indent writes, except that a non-finite float (a
 failing verify residual) is null, and CSV what csv.writer writes. A job
 is refused (bad or missing flags, non-finite values, over MAX_ROWS rows) before
-any byte is written. A config file in key = value form may supply any long
-flag's value; other keys are refused, and explicit flags win.
+any byte is written. A config file in key = value form may set any subcommand's
+long flags; each reads its own, other keys are refused, and explicit flags win.
 Exit status: 0 success, 1 verification failure, 2 bad arguments, 141 stdout
 or an --output FIFO closed by its reader before the output was written
 (128 + SIGPIPE).
@@ -155,6 +155,8 @@ def read_config_file(path: str, keys: frozenset[str] | None = None) -> dict[str,
                 first_line[key] = lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from None
     return out
 
 
@@ -556,50 +558,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_keys(parser: argparse.ArgumentParser) -> frozenset[str]:
-    """Keys a config file may set: the long flags of every subcommand but --config."""
+def _fill_from_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Set each unset flag of args's subcommand from --config; other subcommands' keys are skipped."""
     (subcommands,) = parser._subparsers._group_actions
-    return frozenset(flag[2:] for sub in subcommands.choices.values()
-                     for flag in sub._option_string_actions
-                     if flag.startswith("--")) - {"help", "config"}
+    dests = {flag[2:]: action.dest for sub in subcommands.choices.values() for action in sub._actions
+             for flag in action.option_strings if flag.startswith("--")}
+    for key, value in read_config_file(args.config, frozenset(dests) - {"help", "config"}).items():
+        # argparse sets every flag of the running subcommand, and no other, on args
+        if hasattr(args, dests[key]) and getattr(args, dests[key]) is None:
+            setattr(args, dests[key], value)
 
 
 def make_config(args: argparse.Namespace) -> JobConfig:
-    """Merge flags over config-file values over defaults."""
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = read_config_file(args.config, config_keys(build_parser()))
-
-    def pick(flag: str, key: str | None = None) -> str | None:
-        value = getattr(args, flag, None)
-        if value is not None:
-            return value
-        return file_values.get(key or flag.replace("_", "-"))
-
+    """The job args describe, over the defaults; config-file values are already filled in."""
+    flags = {name: value for name, value in vars(args).items() if value is not None}
     config = JobConfig(command=args.command)
     for name in ("j1", "j2", "j3", "j"):
-        if pick(name) is not None:
-            setattr(config, name, parse_half(pick(name), f"--{name}"))
-    if pick("labels") is not None:
-        config.sixj_labels = tuple(parse_half(x, "--labels") for x in pick("labels").split(","))
-    if pick("symbol") is not None:
-        config.symbol = pick("symbol")
-    if pick("r") is not None:
-        config.r_values = config.verify.r_values = parse_r_list(pick("r"))
-    if pick("k") is not None:
-        config.verify.k_values = parse_k_list(pick("k"))
-    if pick("j_max", "j-max") is not None:
-        config.verify.j_max = parse_half(pick("j_max", "j-max"), "--j-max")
-    if pick("tol") is not None:
-        config.verify.tol = parse_tol(pick("tol"))
-    if pick("seed") is not None:
-        if not pick("seed").strip().isdecimal():
-            raise ConfigError(f"--seed: cannot parse {pick('seed')!r} as a non-negative integer")
-        config.verify.seed = int(pick("seed"))
-    if pick("fmt", "format") is not None:
-        config.fmt = pick("fmt", "format")
-    if pick("output") is not None:
-        config.output = pick("output")
+        if name in flags:
+            setattr(config, name, parse_half(flags[name], f"--{name}"))
+    if "labels" in flags:
+        config.sixj_labels = tuple(parse_half(x, "--labels") for x in flags["labels"].split(","))
+    if "symbol" in flags:
+        config.symbol = flags["symbol"]
+    if "r" in flags:
+        config.r_values = config.verify.r_values = parse_r_list(flags["r"])
+    if "k" in flags:
+        config.verify.k_values = parse_k_list(flags["k"])
+    if "j_max" in flags:
+        config.verify.j_max = parse_half(flags["j_max"], "--j-max")
+    if "tol" in flags:
+        config.verify.tol = parse_tol(flags["tol"])
+    if "seed" in flags:
+        if not flags["seed"].strip().isdecimal():
+            raise ConfigError(f"--seed: cannot parse {flags['seed']!r} as a non-negative integer")
+        config.verify.seed = int(flags["seed"])
+    if "fmt" in flags:
+        config.fmt = flags["fmt"]
+    if "output" in flags:
+        config.output = flags["output"]
         directory = os.path.dirname(os.path.abspath(config.output))
         # "" and "x/" name no file: abspath would turn them into a file in the parent directory
         if (not os.path.basename(config.output) or os.path.isdir(config.output)
@@ -612,6 +608,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            _fill_from_config(parser, args)
         config = make_config(args)
         return run(config)
     except ValueError as exc:

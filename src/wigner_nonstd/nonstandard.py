@@ -293,12 +293,6 @@ class TensorOperator:
         arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
 
-    def component(self, q: HalfInt) -> np.ndarray:
-        idx = (q.twice + self.rank.twice) // 2
-        if not 0 <= idx < self.rank.twice + 1:
-            raise ValueError(f"q={q} outside [-{self.rank}, {self.rank}]")
-        return self.components[idx]
-
     @property
     def rank_space(self) -> SpinSpace:
         return SpinSpace(self.rank, self.bra_space.r)
@@ -350,7 +344,6 @@ class WignerEckartResult:
 
     reduced_element: complex
     residual: float
-    pattern_norm: float
 
 
 def f_small_tensor(bra_space: SpinSpace, ket_space: SpinSpace,
@@ -377,8 +370,7 @@ def wigner_eckart_check(tensor: TensorOperator) -> WignerEckartResult:
     else:
         reduced = complex(np.vdot(pattern, elements) / np.vdot(pattern, pattern))
     residual = float(np.max(np.abs(elements - reduced * pattern)))
-    return WignerEckartResult(reduced_element=reduced, residual=residual,
-                              pattern_norm=pattern_norm)
+    return WignerEckartResult(reduced_element=reduced, residual=residual)
 
 
 def recoupling_invariance_check(j1: HalfInt, j2: HalfInt, j3: HalfInt,

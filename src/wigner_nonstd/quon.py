@@ -145,10 +145,6 @@ class QuonRep:
     b_minus: np.ndarray
     number: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.k * self.k
-
 
 def build_rep(k: int) -> QuonRep:
     """Construct the two-oscillator representation for q = exp(2*pi*i/k)."""

@@ -4,6 +4,8 @@ Clebsch-Gordan coefficients and 3-jm / 6-j symbols in the
 Condon-Shortley convention, evaluated with big-integer rational arithmetic.
 Every symbol is a signed square root of a rational number; conversion to
 float is the only lossy step, and happens only at the caller's request.
+An exact value is built, compared, printed and converted, never multiplied:
+threejm folds its phase and 1/(2j3+1) into cg's (sign, square) in one step.
 
 The dense float tensors cg_tensor and threejm_tensor come from one integer
 Racah sum per triad (j1, j2, j), with the triad's factorials shared by
@@ -77,11 +79,6 @@ class ExactSqrtRational:
         return _ZERO
 
     @classmethod
-    def from_sign(cls, exponent: int) -> "ExactSqrtRational":
-        """(-1)**exponent as an exact value."""
-        return cls(-1 if exponent % 2 else 1, Fraction(1))
-
-    @classmethod
     def from_rational_times_sqrt(cls, coeff: Fraction, radicand: Fraction) -> "ExactSqrtRational":
         """coeff * sqrt(radicand) folded into canonical (sign, square) form."""
         if radicand < 0:
@@ -94,22 +91,8 @@ class ExactSqrtRational:
     def is_zero(self) -> bool:
         return self.sign == 0
 
-    def __neg__(self) -> "ExactSqrtRational":
-        return ExactSqrtRational(-self.sign, self.magnitude_squared)
-
-    def __mul__(self, other: "ExactSqrtRational") -> "ExactSqrtRational":
-        sign = self.sign * other.sign
-        if sign == 0:
-            return ExactSqrtRational.zero()
-        return ExactSqrtRational(sign, self.magnitude_squared * other.magnitude_squared)
-
     def __float__(self) -> float:
         return self.sign * math.sqrt(self.magnitude_squared)
-
-    @property
-    def signed_square(self) -> Fraction:
-        """sign * magnitude_squared; a convenient exact scalar for comparisons."""
-        return self.sign * self.magnitude_squared
 
     def __str__(self) -> str:
         if self.sign == 0:
@@ -153,15 +136,8 @@ class RadicalSum:
         self._radicands.append(radicand)
         self._coeffs.append(coeff)
 
-    def add(self, value: ExactSqrtRational, scale: Fraction = Fraction(1)) -> None:
-        if value.sign != 0:
-            self.add_term(scale * value.sign, value.magnitude_squared)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._coeffs)
-
-    def __float__(self) -> float:
-        return float(sum(c * math.sqrt(r) for r, c in zip(self._radicands, self._coeffs)))
 
 
 def _as_int(twice_value: int) -> int:
@@ -232,9 +208,8 @@ def threejm(j1: HalfInt, j2: HalfInt, j3: HalfInt,
     value = cg(j1, j2, m1, m2, j3, -m3)
     if value.is_zero():
         return value
-    phase = ExactSqrtRational.from_sign(_as_int(j1.twice - j2.twice - m3.twice))
-    scale = ExactSqrtRational(1, Fraction(1, j3.twice + 1))
-    return phase * scale * value
+    sign = -value.sign if _as_int(j1.twice - j2.twice - m3.twice) % 2 else value.sign
+    return ExactSqrtRational(sign, value.magnitude_squared / (j3.twice + 1))
 
 
 def _triangle_coeff_squared(ta: int, tb: int, tc: int) -> Fraction:

@@ -103,9 +103,6 @@ class ResidualReport:
         """The largest residual, NaN if any is NaN, 0.0 for no residuals."""
         return float(np.max(list(self.residuals.values()))) if self.residuals else 0.0
 
-    def within(self, tol: float) -> bool:
-        return self.worst() <= tol
-
     def __str__(self) -> str:
         lines = [f"  {name}: {value:.3e}" for name, value in sorted(self.residuals.items())]
         return "\n".join(lines)

@@ -176,7 +176,7 @@ def test_criterion_06_sine_algebra_structure_constants(announce):
         q_power = rep.deformation.q_power
         u = build_ur(rep, 0.0).dense()
         v = np.diag(build_v(rep).ravel())
-        eye = np.eye(rep.dim, dtype=complex)
+        eye = np.eye(rep.k ** 2, dtype=complex)
         u_pow, v_pow = [eye], [eye]
         for _ in range(2 * (k - 1)):
             u_pow.append(u_pow[-1] @ u)
@@ -317,6 +317,11 @@ def test_criterion_10_factorization_theorem(announce):
     assert worst_spread <= 1e-9
 
 
+def _signed_square(value: ExactSqrtRational) -> Fraction:
+    """sign * magnitude_squared: one exact scalar that determines the value."""
+    return value.sign * value.magnitude_squared
+
+
 def test_criterion_11_standard_layer_exactness(announce):
     """Zero rational residue for arguments <= 2; full `verify` run < 60 s."""
     violations = 0
@@ -356,7 +361,7 @@ def test_criterion_11_standard_layer_exactness(announce):
     for t1 in range(5):
         for t2 in range(5):
             for t3 in range(abs(t1 - t2), min(4, t1 + t2) + 1, 2):
-                sign = ExactSqrtRational.from_sign((t1 + t2 + t3) // 2)
+                sign = -1 if ((t1 + t2 + t3) // 2) % 2 else 1
                 for tm1 in range(-t1, t1 + 1, 2):
                     for tm2 in range(-t2, t2 + 1, 2):
                         tm3 = -tm1 - tm2
@@ -365,10 +370,11 @@ def test_criterion_11_standard_layer_exactness(announce):
                         base = threejm(H(t1), H(t2), H(t3), H(tm1), H(tm2), H(tm3))
                         if threejm(H(t2), H(t3), H(t1), H(tm2), H(tm3), H(tm1)) != base:
                             violations += 1
-                        if threejm(H(t2), H(t1), H(t3), H(tm2), H(tm1), H(tm3)) != sign * base:
+                        swap = threejm(H(t2), H(t1), H(t3), H(tm2), H(tm1), H(tm3))
+                        if _signed_square(swap) != sign * _signed_square(base):
                             violations += 1
-                        if threejm(H(t1), H(t2), H(t3),
-                                   H(-tm1), H(-tm2), H(-tm3)) != sign * base:
+                        negm = threejm(H(t1), H(t2), H(t3), H(-tm1), H(-tm2), H(-tm3))
+                        if _signed_square(negm) != sign * _signed_square(base):
                             violations += 1
 
     # 6-j symmetry generators: two column swaps and one row flip

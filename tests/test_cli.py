@@ -537,6 +537,30 @@ class TestConfigFile:
         key = line.partition("=")[0].strip()
         assert f"{cfg}:3: unknown key {key!r}" in captured.err
 
+    @pytest.mark.parametrize("line, flag", [("tol = 0", "--tol"), ("seed = -1", "--seed")],
+                             ids=["tol", "seed"])
+    def test_a_bad_value_for_another_subcommand_is_skipped(self, capsys, tmp_path, line, flag):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"{line}\n")
+        for argv in (["tabulate-cg", "--j1", "1/2", "--j2", "1/2"], ["export-ops", "--j", "1"]):
+            assert run_main(*argv, "--config", str(cfg)) == 0
+            assert capsys.readouterr().err == ""
+        # verify reads the key, so it still refuses the value and names the flag
+        assert run_main("verify", "--j-max", "1/2", "--k", "2", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag}:" in captured.err
+
+    def test_a_config_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"j1 = 1/2\xff\n")
+        assert run_main("tabulate-cg", "--j2", "1/2", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cfg) in captured.err and "UTF-8" in captured.err
+        with pytest.raises(ConfigError, match="latin1.cfg"):
+            read_config_file(str(cfg))
+
     def test_duplicate_key_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("j1 = 1/2\nj2 = 1/2\nj1 = 1\n")

@@ -199,9 +199,6 @@ class TestRepresentation:
             with pytest.raises(ValueError):
                 mat[0, 0] = 5.0
 
-    def test_dim(self):
-        assert build_rep(5).dim == 25
-
     @pytest.mark.parametrize("k", K_RANGE)
     def test_defining_relations(self, k):
         res = relation_residuals(build_rep(k))
@@ -298,7 +295,7 @@ class TestSineAlgebra:
     def test_zero_label_is_identity(self):
         rep = build_rep(4)
         t00 = _generators(rep, 0.0)((0, 0))
-        assert np.max(np.abs(t00 - np.eye(rep.dim))) < 1e-14
+        assert np.max(np.abs(t00 - np.eye(rep.k ** 2))) < 1e-14
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_magnetic_translation_product_rule(self, k):
@@ -367,7 +364,7 @@ class TestFactorizationOracle:
         one = np.eye(rep.k)
         a_plus, a_minus, number_a = (np.kron(x, one) for x in (rep.a_plus, rep.a_minus, rep.number))
         b_plus, b_minus, number_b = (np.kron(one, x) for x in (rep.b_plus, rep.b_minus, rep.number))
-        eye = np.eye(rep.dim)
+        eye = np.eye(rep.k ** 2)
         q = rep.deformation.q
 
         def max_abs(x):
@@ -412,7 +409,7 @@ class TestFactorizationOracle:
         rep = build_rep(k)
         turns = Fraction(r) * (k - 1) / 2
         u = build_ur(rep, turns).dense()
-        target = unit_phase(turns.numerator, turns.denominator) * np.eye(rep.dim)
+        target = unit_phase(turns.numerator, turns.denominator) * np.eye(rep.k ** 2)
         dense = float(np.max(np.abs(np.linalg.matrix_power(u, k) - target)))
         assert abs(cyclicity_residual(rep, turns) - dense) <= 1e-15
 

@@ -10,6 +10,8 @@ import math
 import threading
 from fractions import Fraction
 
+import numpy as np
+
 from wigner_nonstd import cli, verify
 from wigner_nonstd.halfint import HalfInt
 from wigner_nonstd.standard_wra import ExactSqrtRational
@@ -158,6 +160,30 @@ def test_a_nan_at_one_point_fails_its_aggregated_row(monkeypatch, capsys):
     assert "checks passed" in capsys.readouterr().err
 
 
+def test_each_distinct_random_draw_is_checked_once_in_draw_order(monkeypatch):
+    config = VerifyConfig(r_values=(0.0, 0.37))
+    check, calls = verify.verify_cg_orthonormality, []
+
+    def counted(sp1, sp2):
+        calls.append((sp1.j.twice, sp2.j.twice, sp1.r))
+        return check(sp1, sp2)
+
+    monkeypatch.setattr(verify, "verify_cg_orthonormality", counted)
+    rows = verify.coupling_suite(config)
+    # replay the generator: two draws per sample, 2j1 then 2j2, for each r in turn
+    rng, distinct = np.random.default_rng(config.seed), []
+    for r in config.r_values:
+        draws = [tuple(int(rng.integers(0, verify.RANDOM_J_MAX.twice + 1)) for _ in range(2))
+                 for _ in range(verify.RANDOM_SAMPLES)]
+        distinct += [(tj1, tj2, r) for tj1, tj2 in dict.fromkeys(draws)]
+    assert len(distinct) < len(config.r_values) * verify.RANDOM_SAMPLES
+    fixed = len(config.r_values) * (verify.COUPLING_J_MAX.twice + 1) ** 2
+    assert len(calls) == fixed + len(distinct)
+    assert calls[fixed:] == distinct
+    random_rows = [c for c in rows if c.name == "coupling.orthonormality_random"]
+    assert [c.parameters["samples"] for c in random_rows] == [verify.RANDOM_SAMPLES] * 2
+
+
 def _refuse(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -189,11 +215,16 @@ def test_a_non_finite_float_is_written_as_json_null():
     assert "".join(cli._json_chunks(finite, 0)) == json.dumps(finite, indent=2)
 
 
+def _negated(value):
+    """-value, as the exact symbols return it."""
+    return ExactSqrtRational(-value.sign, value.magnitude_squared)
+
+
 def _negated_when_j1_exceeds_j2(symbol):
     """symbol with every nonzero value negated where 2j1 > 2j2."""
     def mutant(*args):
         value = symbol(*args)
-        return -value if args[0].twice > args[1].twice else value
+        return _negated(value) if args[0].twice > args[1].twice else value
     return mutant
 
 
@@ -225,7 +256,7 @@ def _threejm_violations_by_loop(limit):
                 if abs(m3.twice) > j3.twice:
                     continue
                 base = verify.threejm(j1, j2, j3, m1, m2, m3)
-                signed = -base if sign_exp % 2 else base
+                signed = _negated(base) if sign_exp % 2 else base
                 checks = (
                     verify.threejm(j2, j3, j1, m2, m3, m1) == base,
                     verify.threejm(j3, j1, j2, m3, m1, m2) == base,
