@@ -582,6 +582,16 @@ class TestTensorOperator:
             TensorOperator(SpinSpace(H(2), 0.0), SpinSpace(H(2), 0.37),
                            H(2), np.zeros((3, 3, 3)))
 
+    def test_component_lookup(self):
+        # components are stored q ascending: T_q is components[q + rank]
+        sp = SpinSpace(H(2), 0.0)
+        comps = np.arange(27, dtype=float).reshape(3, 3, 3)
+        op = TensorOperator(sp, sp, H(2), comps)
+        assert np.allclose(op.components[-1 + 1], comps[0])
+        assert np.allclose(op.components[1 + 1], comps[2])
+        with pytest.raises(ValueError):
+            TensorOperator(sp, sp, H(2), np.zeros((5, 3, 3)))
+
     def test_components_copied_and_frozen(self):
         sp = SpinSpace(H(2), 0.0)
         src = np.zeros((3, 3, 3))

@@ -199,6 +199,12 @@ class TestRepresentation:
             with pytest.raises(ValueError):
                 mat[0, 0] = 5.0
 
+    def test_dim(self):
+        # single-mode matrices are k x k; the product space has dimension k^2
+        rep = build_rep(5)
+        assert rep.k == 5
+        assert build_ur(rep, Fraction(0)).dense().shape == (25, 25)
+
     @pytest.mark.parametrize("k", K_RANGE)
     def test_defining_relations(self, k):
         res = relation_residuals(build_rep(k))

@@ -104,6 +104,35 @@ class TestRadicalSum:
         s.add_term(Fraction(-1), Fraction(2))  # the sqrt 2 class cancels, sqrt 3 remains
         assert not s.is_zero()
 
+    def test_add_same_class(self):
+        s = RadicalSum()
+        s.add_term(Fraction(1), Fraction(2))     # sqrt 2
+        s.add_term(Fraction(1), Fraction(9, 2))  # 3/sqrt 2 = (3/2) sqrt 2
+        assert not s.is_zero()
+        s.add_term(Fraction(-5, 2), Fraction(2))
+        assert s.is_zero()
+
+    def test_add_cancels_exactly(self):
+        s = RadicalSum()
+        s.add_term(Fraction(1), Fraction(7, 3))
+        s.add_term(Fraction(-1), Fraction(7, 3))
+        assert s.is_zero()
+        s.add_term(Fraction(1), Fraction(7, 3))
+        s.add_term(Fraction(-1, 2), Fraction(28, 3))  # sqrt(28/3) = 2 sqrt(7/3)
+        assert s.is_zero()
+
+    def test_add_zero_identity(self):
+        s = RadicalSum()
+        s.add_term(Fraction(5), Fraction(0))
+        s.add_term(Fraction(0), Fraction(5))
+        assert s.is_zero()
+        s.add_term(Fraction(-1), Fraction(5))
+        s.add_term(Fraction(0), Fraction(3))
+        s.add_term(Fraction(2), Fraction(0))
+        assert not s.is_zero()
+        s.add_term(Fraction(1), Fraction(5))
+        assert s.is_zero()
+
     def test_add_exact_value(self):
         # (3/2) * (-sqrt 4) = -3, held under the first radicand 4; adding 3 sqrt 1 cancels it
         value = ExactSqrtRational(-1, Fraction(4))
