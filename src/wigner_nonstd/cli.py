@@ -13,17 +13,20 @@ Complex numbers serialize as [re, im]; half-integers as reduced strings
 of their fixed labels (j, then r; a repeated --r is refused) and each is
 written in C order of its axes (s, so alpha = -j r + s, or m ascending);
 alphas that round to one float keep s order. CSV output adds magnitude
-and phase columns. Each command builds its output as text chunks, and emit
-streams them to stdout or --output. Table rows in both formats, and export-ops
-CSV, come from one text template per block; JSON is byte for byte what
-json.dump with a two-space indent writes, except that a non-finite float (a
-failing verify residual) is null, and CSV what csv.writer writes. A job
-is refused (bad or missing flags, non-finite values, over MAX_ROWS rows) before
-any byte is written. A config file in key = value form may set any subcommand's
-long flags; each reads its own, other keys are refused, and explicit flags win.
-Exit status: 0 success, 1 verification failure, 2 bad arguments, 141 stdout
-or an --output FIFO closed by its reader before the output was written
-(128 + SIGPIPE).
+and phase columns. tabulate-standard takes its cg and threejm tables from
+one Racah sum per triad (standard_wra.symbol_table). Each command builds its
+output as text chunks, and emit streams them to stdout or --output. Table rows
+in both formats, and export-ops CSV, come from one text template per block; an
+export-ops matrix in JSON is written row by row, with its zero pair's text
+made once. JSON is byte for byte what json.dump with a two-space indent
+writes, except that a non-finite float (a failing verify residual) is null,
+and CSV what csv.writer writes. A job is refused (bad or missing flags,
+non-finite values, over MAX_ROWS rows) before any byte is written. A config
+file in key = value form may set any subcommand's long flags; each reads its
+own, other keys are refused, and explicit flags win.
+Exit status: 0 success, 1 verification failure, 2 bad arguments, 74 a failed
+write to stdout or --output (EX_IOERR), 141 stdout or an --output FIFO closed
+by its reader before the output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 from .halfint import HalfInt, coupled_j_values, m_values
 from .nonstandard import alpha_labels, cg_nonstandard_tensor, fbar_tensor
 from .quon import MAX_K
-from .standard_wra import cg, sixj, threejm
+from .standard_wra import sixj, symbol_table
 from .su2gen import SpinSpace, build_spin_ops
 from .verify import VerifyConfig, report_dict, run_suites
 
@@ -260,14 +263,9 @@ def _build_table(config: JobConfig) -> _Table:
     _check_rows(f"tabulate-standard --symbol {config.symbol} "
                 + " ".join(f"--{name} {spin}" for name, spin in zip(columns, spins)),
                 math.prod(spin.twice + 1 for spin in spins))
-    ms = itertools.product(*map(m_values, spins))
-    if config.symbol == "cg":
-        values = [cg(j1, j2, m1, m2, config.j, m) for m1, m2, m in ms]
-    else:
-        values = [threejm(j1, j2, j3, m1, m2, m3) for m1, m2, m3 in ms]
+    tensor, texts = symbol_table(config.symbol, *spins)
     axes = tuple(tuple(map(str, m_values(x))) for x in spins)
-    tensor = np.array([float(v) for v in values]).reshape([len(axis) for axis in axes])
-    block = _Block(tuple(map(str, spins)), axes, tensor, tuple(map(str, values)))
+    block = _Block(tuple(map(str, spins)), axes, tensor, tuple(texts))
     return _Table(columns, "standard", config.symbol, [block])
 
 
@@ -390,7 +388,7 @@ def _json_chunks(value, level: int) -> Iterator[str]:
     elif value is None or isinstance(value, (int, float)):
         yield json.dumps(value)  # json's own spelling: true, null, 1e+20
     elif isinstance(value, np.ndarray):
-        yield _array_text(value, level)
+        yield from _array_text(value, level)
     elif isinstance(value, _Block):
         yield from _block_rows(value, level)
     elif isinstance(value, (dict, list, tuple)):
@@ -423,16 +421,31 @@ def _nest(texts: Iterator[str], size: int, level: int) -> Iterator[str]:
         yield head + separator.join(group) + tail
 
 
-def _array_text(values: np.ndarray, level: int) -> str:
-    """A complex array as its nested lists of [re, im] pairs at level, one template per depth."""
-    floats = iter(np.asarray(values, dtype=complex).ravel().view(np.float64).tolist())
+def _array_text(values: np.ndarray, level: int) -> Iterator[str]:
+    """A complex array as its nested lists of [re, im] pairs at level, one template per depth,
+    in one chunk per item of the outermost list.
+
+    The text of the pair (+0.0, +0.0) is made once. A pair is zero by its bits,
+    so a -0.0 in either part is spelled by its own repr.
+    """
+    pairs = np.asarray(values, dtype=complex).reshape(-1).view(np.float64).reshape(-1, 2)
     depth = level + values.ndim
     pair = "[" + _indent(depth + 1) + "%r," + _indent(depth + 1) + "%r" + _indent(depth) + "]"
-    texts = map(pair.__mod__, zip(floats, floats))
-    for size in reversed(values.shape):
+    bits = pairs.view(np.uint64)
+    nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    texts = [pair % (0.0, 0.0)] * len(pairs)
+    nonzero_pairs = zip(pairs[nonzero, 0].tolist(), pairs[nonzero, 1].tolist())
+    for index, text in zip(nonzero.tolist(), map(pair.__mod__, nonzero_pairs)):
+        texts[index] = text
+    items = iter(texts)
+    for size in reversed(values.shape[1:]):
         depth -= 1
-        texts = _nest(texts, size, depth)
-    return "".join(texts)
+        items = _nest(items, size, depth)
+    lead = "[" + _indent(level + 1)
+    for item in items:
+        yield lead + item
+        lead = "," + _indent(level + 1)
+    yield _indent(level) + "]"
 
 
 def _block_rows(block: _Block, level: int) -> Iterator[str]:
@@ -451,24 +464,32 @@ def emit(chunks: Iterable[str], path: str | None) -> None:
     file renamed over path unless something raises.
 
     If the reader of stdout or of the FIFO closes it early, the process exits 141
-    (128 + SIGPIPE) with nothing on stderr.
+    (128 + SIGPIPE) with nothing on stderr. Any other failed write exits 74
+    (EX_IOERR) with one line on stderr.
     """
-    if path is None or (os.path.exists(path) and not os.path.isfile(path)):
-        try:
-            if path is None:
-                sys.stdout.writelines(chunks)
-                sys.stdout.flush()
-            else:
-                # a failed flush in close() still closes the descriptor, and is caught here
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.writelines(chunks)
-        except BrokenPipeError:
-            if path is None:
-                # point fd 1 at devnull, so that the flush at interpreter exit cannot raise again
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+    try:
+        _write(chunks, path)
+    except OSError as exc:
+        if path is None:
+            # point fd 1 at devnull, so that the flush at interpreter exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
             raise SystemExit(141) from None
+        print(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(74) from None
+
+
+def _write(chunks: Iterable[str], path: str | None) -> None:
+    if path is None:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a failed flush in close() still closes the descriptor
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0)

@@ -9,12 +9,13 @@ threejm folds its phase and 1/(2j3+1) into cg's (sign, square) in one step.
 
 The dense float tensors cg_tensor and threejm_tensor come from one integer
 Racah sum per triad (j1, j2, j), with the triad's factorials shared by
-every entry. The per-entry functions (cg, threejm, cg_float) are their
-oracle. Nothing here is memoized: every call computes its value afresh.
-Each tensor entry is sign * sqrt(num / den) with num / den the entry's
-exact square in integers; Python's int / int is correctly rounded, as
-Fraction.__float__ is, so the tensors equal the per-entry floats bit for
-bit.
+every entry, and so do the exact tables of symbol_table, which hold each
+nonzero entry's square as a Fraction only to print it. The per-entry
+functions (cg, threejm, cg_float) are their oracle. Nothing here is
+memoized: every call computes its value afresh. Each tensor entry is
+sign * sqrt(num / den) with num / den the entry's exact square in
+integers; Python's int / int is correctly rounded, as Fraction.__float__
+is, so the tensors equal the per-entry floats bit for bit.
 """
 
 from __future__ import annotations
@@ -345,3 +346,30 @@ def threejm_tensor(j1: HalfInt, j2: HalfInt, j3: HalfInt) -> np.ndarray:
         out[i1, i2, tj3 - i] = -root if (t < 0) != odd_phase else root
     out.setflags(write=False)
     return out
+
+
+def symbol_table(symbol: str, j1: HalfInt, j2: HalfInt,
+                 j3: HalfInt) -> tuple[np.ndarray, list[str]]:
+    """The cg (j3 = j) or threejm symbols of one triad as a float array indexed as cg_tensor and
+    threejm_tensor are, with the text of each entry's exact value in C order.
+
+    One _cg_triad_squares pass gives every nonzero entry; each of them is
+    printed from its exact square and rounded as the tensors round it, so the
+    texts and floats are str() and float() of cg and threejm. Every other
+    entry is 0.0 and "0".
+    """
+    tj1, tj2, tj3 = j1.twice, j2.twice, j3.twice
+    out = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
+    texts = ["0"] * out.size
+    for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj3):
+        negative = t < 0
+        if symbol == "threejm":
+            # threejm_tensor's phase, denominator and index m3 = -m
+            negative ^= ((tj1 - tj2 - tj3) // 2 + i) % 2 == 1
+            den *= tj3 + 1
+            i = tj3 - i
+        root = math.sqrt(num / den)
+        out[i1, i2, i] = -root if negative else root
+        texts[(i1 * (tj2 + 1) + i2) * (tj3 + 1) + i] = str(
+            ExactSqrtRational(-1 if negative else 1, Fraction(num, den)))
+    return out, texts

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -717,7 +718,7 @@ def no_work(*args, **kwargs):
 
 
 def forbid_work(monkeypatch):
-    for name in ("SpinSpace", "cg_nonstandard_tensor", "fbar_tensor", "cg", "threejm",
+    for name in ("SpinSpace", "cg_nonstandard_tensor", "fbar_tensor", "symbol_table",
                  "sixj", "build_spin_ops", "run_suites"):
         monkeypatch.setattr(cli, name, no_work)
 
@@ -835,6 +836,41 @@ class TestStreamedWriter:
         assert {tuple(map(repr, row["value"])) for row in json.loads(out)["rows"]} == {
             ("-0.0", "-0.0")}
 
+    @pytest.mark.parametrize("level", [0, 3])
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 2)])
+    def test_array_text_is_json_dumps_at_its_level(self, shape, level):
+        # signed zeros in either part mixed with nonzeros, at seeded positions
+        parts = [0.0, -0.0, 1.5, -2.25e-300, 1 / 3]
+        rng = np.random.default_rng(sum(shape) + level)
+        values = np.array([complex(rng.choice(parts), rng.choice(parts))
+                           for _ in range(math.prod(shape))]).reshape(shape)
+        values[(0,) * len(shape)] = complex(0.0, 0.0)
+        values[(-1,) * len(shape)] = complex(-0.0, 0.0)
+        values.flat[1] = complex(0.0, -0.0)
+        chunks = list(cli._array_text(values, level))
+        reference = json.dumps(plain(values), indent=2).replace("\n", "\n" + "  " * level)
+        assert "".join(chunks) == reference
+        # one chunk per item of the outermost list, then the closing bracket
+        assert len(chunks) == shape[0] + 1
+
+    def test_export_ops_negative_zero_keeps_its_sign(self, capsys, monkeypatch):
+        signed = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0)]
+        real_build = cli.build_spin_ops
+
+        def with_negative_zeros(space):
+            ops = real_build(space)
+            h = np.array(ops.h, dtype=complex)
+            h.flat[:4] = signed
+            return dataclasses.replace(ops, h=h)
+
+        monkeypatch.setattr(cli, "build_spin_ops", with_negative_zeros)
+        assert run_main("export-ops", "--j", "3/2") == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        (export,) = json.loads(out)["exports"]
+        pairs = [tuple(map(repr, pair)) for row in export["operators"]["h"] for pair in row]
+        assert pairs[:4] == [("-0.0", "0.0"), ("0.0", "-0.0"), ("-0.0", "-0.0"), ("0.0", "0.0")]
+
     def test_csv_zero_value_has_phase_zero_and_keeps_its_signs(self, capsys, monkeypatch):
         def negative_zero_tensor(sp1, sp2, sp):
             return np.full((sp1.dim, sp2.dim, sp.dim), complex(-0.0, -0.0))
@@ -861,7 +897,7 @@ class TestStreamedWriter:
         def failing_array_text(values, level):
             if written:
                 raise ValueError("matrix writer failed")
-            written.append(real_array_text(values, level))
+            written.append("".join(real_array_text(values, level)))
             return written[-1]
 
         def failing_csv(payload):
@@ -924,7 +960,8 @@ class TestStreamedWriter:
         monkeypatch.setattr(cli, "_format_table", row_count)
         monkeypatch.setattr(cli, "cg_nonstandard_tensor",
                             lambda sp1, sp2, sp: np.zeros((sp1.dim, sp2.dim, sp.dim)))
-        monkeypatch.setattr(cli, "threejm", lambda *labels: 0)
+        monkeypatch.setattr(cli, "symbol_table", lambda symbol, *spins: (
+            np.zeros([spin.twice + 1 for spin in spins]), ()))
         assert run_json(capsys, "tabulate-cg", "--j1", "10", "--j2", "10")["rows"] == 194_481
         assert run_json(capsys, "tabulate-standard", "--symbol", "threejm", "--j1", "32",
                         "--j2", "32", "--j3", "32")["rows"] == 274_625
@@ -1003,6 +1040,13 @@ def test_json_table_memory_does_not_grow_with_rows():
     assert large - small < 15, (small, large)
 
 
+def test_export_ops_memory_does_not_grow_with_its_matrices():
+    # each operator matrix is written one row at a time, never held as one string
+    small = peak_rss_mb("export-ops", "--j", "1")
+    large = peak_rss_mb("export-ops", "--j", "64", "--r=1/3,-5/7")
+    assert large - small < 6, (small, large)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -1028,6 +1072,36 @@ class TestEntryPoint:
             proc.kill()
         assert err == b""
         assert proc.returncode == 141
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, to_stdout", [
+        (["export-ops", "--j", "1"], True),
+        (["verify", "--j-max", "0", "--k", "2", "--output", "/dev/full"], False),
+    ], ids=["stdout", "output"])
+    def test_failed_write_exits_74_with_one_line(self, argv, to_stdout):
+        # a full device: the write fails, which is neither a bad argument nor a failed check
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "wigner_nonstd.cli", *argv],
+                                  stdout=full if to_stdout else subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        target = "stdout" if to_stdout else "/dev/full"
+        assert proc.returncode == 74, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: cannot write {target}: "
+                                            f"{os.strerror(errno.ENOSPC)}"]
+
+    def test_failed_write_to_a_regular_file_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def full_after_one_chunk(document, level):
+            yield "{"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_json_chunks", full_after_one_chunk)
+        target = tmp_path / "ops.json"
+        with pytest.raises(SystemExit) as exit_info:
+            run_main("export-ops", "--j", "1", "--output", str(target))
+        assert exit_info.value.code == 74
+        assert capsys.readouterr().err == (
+            f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_flag_value_exits_two(self):
         proc = subprocess.run(

@@ -12,6 +12,7 @@ Coefficients are cross-checked along independent routes:
 * Whole small CG, 3-jm and 6-j tables are compared exactly with sympy's.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from wigner_nonstd.standard_wra import (
     cg_float,
     cg_tensor,
     sixj,
+    symbol_table,
     threejm,
     threejm_tensor,
 )
@@ -587,6 +589,22 @@ class TestTensors:
             for tj3 in range(11):
                 tensor = threejm_tensor(H(tj1), H(tj2), H(tj3))
                 assert tensor.tobytes() == threejm_reference(tj1, tj2, tj3).tobytes()
+
+    @pytest.mark.parametrize("symbol", ["cg", "threejm"])
+    @pytest.mark.parametrize("tj1", range(9))
+    def test_symbol_table_is_the_per_entry_oracle_bit_for_bit(self, symbol, tj1):
+        # every label set with 2j <= 8, triangle or not, and either parity: each text is
+        # str() and each float float() of the per-entry symbol at the same labels
+        for tj2, tj3 in itertools.product(range(9), repeat=2):
+            j1, j2, j3 = H(tj1), H(tj2), H(tj3)
+            tensor, texts = symbol_table(symbol, j1, j2, j3)
+            assert tensor.shape == (tj1 + 1, tj2 + 1, tj3 + 1)
+            values = [cg(j1, j2, m1, m2, j3, m3) if symbol == "cg"
+                      else threejm(j1, j2, j3, m1, m2, m3)
+                      for m1, m2, m3 in itertools.product(*map(m_values, (j1, j2, j3)))]
+            assert texts == [str(value) for value in values]
+            expected = np.array([float(value) for value in values])
+            assert tensor.ravel().tobytes() == expected.tobytes()
 
     def test_factorial_guard_raises_once_per_triad(self):
         # (j1+j2+j)+1 = 403 > MAX_FACTORIAL_ARG = 402
