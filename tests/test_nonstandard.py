@@ -9,7 +9,9 @@ have their own diagonalization oracle in test_standard_wra).
 
 import cmath
 import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,11 +38,11 @@ from wigner_nonstd.nonstandard import (
     verify_fbar_symmetry,
     wigner_eckart_check,
 )
-from wigner_nonstd import nonstandard
+from wigner_nonstd import nonstandard, verify
 from wigner_nonstd.quon import unit_phase
 from wigner_nonstd.standard_wra import cg_float, threejm
 from wigner_nonstd.su2gen import SpinSpace, build_spin_ops
-from wigner_nonstd.verify import DEFAULT_TOLERANCES
+from wigner_nonstd.verify import DEFAULT_TOLERANCES, VerifyConfig
 
 H = HalfInt
 R_GRID = [0.0, 0.37, 1.0, 2.5]
@@ -324,6 +326,117 @@ class TestCouplingCoefficients:
     def test_magnitude_bounded_by_one(self):
         for l1, l2, l in label_grid(2, 3, 0.37):
             assert abs(cg_nonstandard(l1, l2, l)) <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Orthonormality from the upper row panels of each Hermitian Gram
+
+EPS = 2.0 ** -52
+
+
+def change_of_basis(sp1, sp2):
+    """W[(s1 s2), (j s)] stacked from the cached tensors, j ascending."""
+    d = sp1.dim * sp2.dim
+    return np.concatenate([cg_nonstandard_tensor(sp1, sp2, SpinSpace(j, sp1.r)).reshape(d, -1)
+                           for j in coupled_j_values(sp1.j, sp2.j)], axis=1)
+
+
+def dense_residuals(w):
+    """Each relation's max |G - 1| from the full n x n products, as perfbench/checks.py forms them."""
+    eye = np.eye(w.shape[0])
+    return {"rows_orthonormal": float(np.max(np.abs(w.conj().T @ w - eye))),
+            "complete": float(np.max(np.abs(w @ w.conj().T - eye)))}
+
+
+def serve_change_of_basis(monkeypatch, sp1, sp2, w):
+    """Make the check read the column blocks of w as the coupling tensors of (sp1, sp2)."""
+    tensor, blocks, lo = nonstandard.cg_nonstandard_tensor, {}, 0
+    for j in coupled_j_values(sp1.j, sp2.j):
+        blocks[j] = w[:, lo:lo + j.twice + 1].reshape(sp1.dim, sp2.dim, j.twice + 1)
+        lo += j.twice + 1
+
+    def served(space1, space2, space):
+        return blocks[space.j] if (space1, space2) == (sp1, sp2) else tensor(space1, space2, space)
+
+    monkeypatch.setattr(nonstandard, "cg_nonstandard_tensor", served)
+
+
+def plant_nan(monkeypatch, block):
+    """A NaN in the last row of W at every pair whose Grams split into several panels:
+    the bottom-right entry of the largest-j block, or the middle column of the middle block."""
+    tensor = nonstandard.cg_nonstandard_tensor
+
+    def planted(sp1, sp2, sp):
+        out = tensor(sp1, sp2, sp)
+        js = coupled_j_values(sp1.j, sp2.j)
+        target = js[-1] if block == "largest" else js[len(js) // 2]
+        if sp1.dim * sp2.dim <= nonstandard._GRAM_PANEL_ROWS or sp.j != target:
+            return out
+        out = out.copy()
+        out[-1, -1, -1 if block == "largest" else sp.j.twice // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(nonstandard, "cg_nonstandard_tensor", planted)
+
+
+@pytest.mark.parametrize("block", ["largest", "middle"])
+def test_a_nan_in_one_panel_makes_both_residuals_nan(monkeypatch, block):
+    plant_nan(monkeypatch, block)
+    report = verify_cg_orthonormality(SpinSpace(H(16), 0.37), SpinSpace(H(16), 0.37))
+    assert list(report.residuals) == ["rows_orthonormal", "complete"]
+    assert all(math.isnan(value) for value in report.residuals.values())
+    # the fixed grid stops at n = 16, one panel; some seeded random draws split into several
+    rows = verify.coupling_suite(VerifyConfig(j_max=H(0), r_values=(0.0,), k_values=(2,)))
+    failed = [c for c in rows if not c.passed]
+    assert [c.name for c in failed] == ["coupling.orthonormality_random"]
+    assert math.isnan(failed[0].residual)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.37, -5 / 3])
+def test_panel_residuals_match_the_full_products(r):
+    for tj1, tj2 in itertools.product(range(17), repeat=2):
+        sp1, sp2 = SpinSpace(H(tj1), r), SpinSpace(H(tj2), r)
+        report = verify_cg_orthonormality(sp1, sp2).residuals
+        dense = dense_residuals(change_of_basis(sp1, sp2))
+        assert report.keys() == dense.keys()
+        for name, value in dense.items():
+            assert abs(report[name] - value) <= 4 * EPS, (tj1, tj2, name, report[name], value)
+
+
+# n = 289 in seven panels, n = 81 in two, n = 102 in three
+@pytest.mark.parametrize("tj1,tj2", [(16, 16), (8, 8), (16, 5)])
+@pytest.mark.parametrize("relation", ["rows_orthonormal", "complete"])
+@pytest.mark.parametrize("spot", ["below_diagonal", "corner"])
+def test_a_defect_in_the_last_panel_is_reported(monkeypatch, tj1, tj2, relation, spot):
+    sp1, sp2 = SpinSpace(H(tj1), 0.37), SpinSpace(H(tj2), 0.37)
+    w = change_of_basis(sp1, sp2)
+    n = w.shape[0]
+    # (1 + E/2) on the relation's side makes its Gram 1 + E to first order, E Hermitian and
+    # inside the last panel's square block: no other panel sees it
+    e = np.zeros((n, n))
+    if spot == "corner":
+        e[n - 1, n - 1] = 1e-6
+    else:
+        e[n - 1, n - 2] = e[n - 2, n - 1] = 1e-6
+    half = np.eye(n) + e / 2
+    planted = w @ half if relation == "rows_orthonormal" else half @ w
+    serve_change_of_basis(monkeypatch, sp1, sp2, planted)
+    report = verify_cg_orthonormality(sp1, sp2).residuals
+    assert report[relation] >= 1e-7, report
+
+
+def test_a_warm_call_allocates_under_three_squares():
+    sp = SpinSpace(H(16), 0.37)
+    verify_cg_orthonormality(sp, sp)  # fills the tensor caches
+    tracemalloc.start()
+    try:
+        verify_cg_orthonormality(sp, sp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = sp.dim * sp.dim
+    # W and its conjugate are two n x n complex arrays; the full products made four
+    assert peak <= 3 * n * n * 16, peak / (n * n * 16)
 
 
 # Unequal legs, one of them 2j = 0: a wrong axis in a reshape or transpose
