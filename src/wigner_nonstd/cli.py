@@ -14,7 +14,7 @@ of their fixed labels (j, then r; a repeated --r is refused) and each is
 written in C order of its axes (s, so alpha = -j r + s, or m ascending);
 alphas that round to one float keep s order. CSV output adds magnitude
 and phase columns. tabulate-standard takes its cg and threejm tables from
-one Racah sum per triad (standard_wra.symbol_table). Each command builds its
+one exact binomial sum per triad (standard_wra.symbol_table). Each command builds its
 output as text chunks, and emit streams them to stdout or --output. Table rows
 in both formats, and export-ops CSV, come from one text template per block; an
 export-ops matrix in JSON is written row by row, with its zero pair's text

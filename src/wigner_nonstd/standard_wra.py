@@ -7,15 +7,20 @@ float is the only lossy step, and happens only at the caller's request.
 An exact value is built, compared, printed and converted, never multiplied:
 threejm folds its phase and 1/(2j3+1) into cg's (sign, square) in one step.
 
-The dense float tensors cg_tensor and threejm_tensor come from one integer
-Racah sum per triad (j1, j2, j), with the triad's factorials shared by
-every entry, and so do the exact tables of symbol_table, which hold each
-nonzero entry's square as a Fraction only to print it. The per-entry
-functions (cg, threejm, cg_float) are their oracle. Nothing here is
-memoized: every call computes its value afresh. Each tensor entry is
-sign * sqrt(num / den) with num / den the entry's exact square in
-integers; Python's int / int is correctly rounded, as Fraction.__float__
-is, so the tensors equal the per-entry floats bit for bit.
+The dense float tensors cg_tensor and threejm_tensor, and the exact tables
+of symbol_table, come from one exact kernel per triad (j1, j2, j),
+_cg_triad_squares. It writes each square with binomials in place of
+factorials (L. Wei, Comput. Phys. Commun. 120 (1999) 222): the triad's
+binomial rows are built once, and each row of entries is one integer
+convolution of them. The per-entry functions (cg, threejm, cg_float) keep
+Racah's factorial sum and are the kernel's oracle, so the two are
+independent formulas. MAX_FACTORIAL_ARG bounds both: a triad whose cg
+would need a factorial past it raises the same error from the tensors.
+Nothing here is memoized: every call computes its value afresh. Each
+tensor entry is sign * sqrt(num / den) with num / den the entry's exact
+square in integers; Python's int / int is correctly rounded, as
+Fraction.__float__ is, so the tensors equal the per-entry floats bit for
+bit. symbol_table holds each nonzero square as a Fraction only to print it.
 """
 
 from __future__ import annotations
@@ -272,51 +277,57 @@ def cg_float(j1: HalfInt, j2: HalfInt, m1: HalfInt, m2: HalfInt, j: HalfInt, m: 
 
 
 def _cg_triad_squares(tj1: int, tj2: int, tj: int):
-    """Yield (i1, i2, i, t, num, den) for every CG of one triad with a nonzero sum.
+    """Yield (i1, i2, i, t, num, den) for every nonzero CG of one triad.
 
     i1, i2, i index m1, m2, m ascending, and (j1 j2 m1 m2 | j m) equals
-    sign(t) * sqrt(num / den) exactly. It is cg's Racah sum taken in
-    integers: with N_k = P / D_k over the common denominator
-    P = k_hi! (a-k_lo)! (j1-m1-k_lo)! (j2+m2-k_lo)! (x+k_hi)! (y+k_hi)!,
-    x = j-j2+m1 and y = j-j1-m2, each N_{k-1} follows from N_k by the exact
-    ratio k (x+k) (y+k) / ((a-k+1) (j1-m1-k+1) (j2+m2-k+1)). A non-triangle
-    triad yields nothing. The sum runs once per mirror pair (i1, i2) <->
-    (2j1-i1, 2j2-i2): (j1 j2 -m1 -m2 | j -m) = (-1)^a (j1 j2 m1 m2 | j m) with
-    a = j1+j2-j, so the mirror entry has the same (num, den) and t times (-1)^a.
+    sign(t) * sqrt(num / den) exactly. This is the all-binomial form of
+    L. Wei, Comput. Phys. Commun. 120 (1999) 222, not cg's Racah sum: with
+    a = j1+j2-j, b = j1-j2+j, c = -j1+j2+j and J = j1+j2+j,
+
+        (j1 j2 m1 m2 | j m)^2 = C(2j1, a) C(2j2, a) T^2
+                                / (C(J+1, a) C(2j1, j1-m1) C(2j2, j2-m2) C(2j, j-m))
+
+    with the sign of T = sum_k (-1)^k C(a, k) C(b, j1-m1-k) C(c, j2+m2-k),
+    the coefficient of x^(j1-m1) y^(j2+m2) in (1-xy)^a (1+x)^b (1+y)^c. The
+    binomial rows are built once per triad, and the T of one m1 are one
+    convolution of them. A non-triangle triad yields nothing. T is found
+    once per mirror pair (i1, i2) <-> (2j1-i1, 2j2-i2):
+    (j1 j2 -m1 -m2 | j -m) = (-1)^a (j1 j2 m1 m2 | j m), and the binomials
+    in the denominator are symmetric, so the mirror entry has the same
+    (num, den) and t times (-1)^a.
     """
     if not _triads_ok((tj1, tj2, tj)):
         return
     a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2, (-tj1 + tj2 + tj) // 2
-    # Every factorial below has an argument <= j1+j2+j+1, so this one call
-    # grows the table far enough and raises the MAX_FACTORIAL_ARG error once.
-    den_triad = _fact(a + b + c + 1)
-    f = _FACTORIALS
-    num_triad = (tj + 1) * f[a] * f[b] * f[c]
+    # cg needs (J+1)!, so the tensors keep its bound: this one call raises the
+    # same MAX_FACTORIAL_ARG error for the same triads.
+    _fact(a + b + c + 1)
+    comb = math.comb
+    signed_a = [-comb(a, k) if k % 2 else comb(a, k) for k in range(a + 1)]
+    row_b, row_c, row_1, row_2, row_j = (
+        [comb(n, s) for s in range(n + 1)] for n in (b, c, tj1, tj2, tj))
+    num_triad = row_1[a] * row_2[a]
+    den_triad = comb(a + b + c + 1, a)
     for i1 in range(tj1 // 2 + 1):
-        j1m_m1, j1p_m1 = tj1 - i1, i1   # j1-m1, j1+m1
-        x = b - j1m_m1                  # j-j2+m1
-        # at the middle row i1 = j1, only i2 <= j2 comes first in its mirror pair
-        i2_hi = min(tj2 // 2 if 2 * i1 == tj1 else tj2, a - i1 + tj)
-        for i2 in range(max(0, a - i1), i2_hi + 1):
-            j2m_m2, j2p_m2 = tj2 - i2, i2
-            i = i1 + i2 - a             # index of m = m1+m2
-            y = c - j2p_m2              # j-j1-m2
-            k_lo = max(0, -x, -y)
-            k_hi = min(a, j1m_m1, j2p_m2)
-            n = (f[a - k_lo] // f[a - k_hi] * (f[j1m_m1 - k_lo] // f[j1m_m1 - k_hi])
-                 * (f[j2p_m2 - k_lo] // f[j2p_m2 - k_hi]))
-            t = 0
-            for k in range(k_hi, k_lo, -1):
-                t += -n if k % 2 else n
-                n = n * k * (x + k) * (y + k) // ((a - k + 1) * (j1m_m1 - k + 1) * (j2p_m2 - k + 1))
-            t += -n if k_lo % 2 else n
+        p = tj1 - i1                    # j1-m1
+        k_lo, k_hi = max(0, p - b), min(a, p)
+        # ts[q - k_lo] = T at j2+m2 = q, for q from k_lo to k_hi+c
+        ts = [0] * (k_hi - k_lo + c + 1)
+        for k in range(k_lo, k_hi + 1):
+            w, o = signed_a[k] * row_b[p - k], k - k_lo
+            ts[o:o + c + 1] = [t + w * binom for t, binom in zip(ts[o:o + c + 1], row_c)]
+        den_1 = den_triad * row_1[i1]
+        # at the middle row i1 = j1, only i2 <= j2 comes first in its mirror pair;
+        # zip stops there or at the end of ts, whichever comes first
+        i2_hi = tj2 // 2 if 2 * i1 == tj1 else tj2
+        i = i1 + k_lo - a               # index of m = m1+m2
+        for i2, t, binom_2, binom_j in zip(range(k_lo, i2_hi + 1), ts, row_2[k_lo:], row_j[i:]):
             if t:
-                den = den_triad * (f[k_hi] * f[a - k_lo] * f[j1m_m1 - k_lo] * f[j2p_m2 - k_lo]
-                                   * f[x + k_hi] * f[y + k_hi]) ** 2
-                num = num_triad * f[i] * f[tj - i] * f[j1m_m1] * f[j1p_m1] * f[j2m_m2] * f[j2p_m2] * t * t
+                num, den = num_triad * t * t, den_1 * binom_2 * binom_j
                 yield i1, i2, i, t, num, den
                 if 2 * i1 != tj1 or 2 * i2 != tj2:
                     yield tj1 - i1, tj2 - i2, tj - i, -t if a % 2 else t, num, den
+            i += 1
 
 
 def cg_tensor(j1: HalfInt, j2: HalfInt, j: HalfInt) -> np.ndarray:

@@ -10,6 +10,8 @@ Coefficients are cross-checked along independent routes:
 * A table of frozen exact values (also verified against sympy when it is
   installed) guards against silent regressions of either route.
 * Whole small CG, 3-jm and 6-j tables are compared exactly with sympy's.
+* The tensors' binomial kernel against the per-entry Racah sum, square by
+  square in Fraction, and against exact sum rules at 2j = 32 (2j = 128 in CI).
 """
 
 import itertools
@@ -25,6 +27,7 @@ from wigner_nonstd.standard_wra import (
     MAX_FACTORIAL_ARG,
     ExactSqrtRational,
     RadicalSum,
+    _cg_triad_squares,
     _fact,
     cg,
     cg_float,
@@ -615,6 +618,82 @@ class TestTensors:
             threejm_tensor(*triad)
         assert str(cg_error.value) == str(threejm_error.value)
         assert f"factorial argument {MAX_FACTORIAL_ARG + 1} exceeds" in str(cg_error.value)
+
+
+# ---------------------------------------------------------------------------
+# The tensors' exact kernel: the binomial form against Racah's sum, and exact
+# sum rules. The rule helpers are also run at 2j = 128 by a CI step.
+
+
+def cg_column_sums(tj1: int, tj2: int, tj: int) -> list[Fraction]:
+    """Sum over (m1, m2) of the exact CG squares of one triad, one per m."""
+    sums = [Fraction(0)] * (tj + 1)
+    for _, _, i, _, num, den in _cg_triad_squares(tj1, tj2, tj):
+        sums[i] += Fraction(num, den)
+    return sums
+
+
+def cg_row_sums(tj1: int, tj2: int) -> list[list[Fraction]]:
+    """Sum over every (j, m) of the exact CG squares, one per (m1, m2)."""
+    sums = [[Fraction(0)] * (tj2 + 1) for _ in range(tj1 + 1)]
+    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        for i1, i2, _, _, num, den in _cg_triad_squares(tj1, tj2, tj):
+            sums[i1][i2] += Fraction(num, den)
+    return sums
+
+
+def threejm_column_sums(tj1: int, tj2: int, tj3: int) -> list[Fraction]:
+    """Sum over (m1, m2) of the exact 3-jm squares, one per m3, with 2j3+1 in
+    the denominator as threejm_tensor has it."""
+    sums = [Fraction(0)] * (tj3 + 1)
+    for _, _, i, _, num, den in _cg_triad_squares(tj1, tj2, tj3):
+        sums[tj3 - i] += Fraction(num, den * (tj3 + 1))
+    return sums
+
+
+class TestTriadSquares:
+    @pytest.mark.parametrize("tj1", range(13))
+    def test_kernel_is_the_per_entry_oracle_exactly(self, tj1):
+        # every (j2, j) with 2j2 <= 12, triangle or not: the kernel yields exactly the
+        # labels where cg is nonzero, each with cg's exact square and sign
+        for tj2 in range(13):
+            for tj in range(tj1 + tj2 + 3):
+                yielded = {(i1, i2, i): (t, Fraction(num, den))
+                           for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj)}
+                nonzero = {}
+                for i1, i2 in itertools.product(range(tj1 + 1), range(tj2 + 1)):
+                    tm = 2 * (i1 + i2) - tj1 - tj2
+                    if abs(tm) <= tj:
+                        value = cg(H(tj1), H(tj2), H(2 * i1 - tj1), H(2 * i2 - tj2), H(tj), H(tm))
+                        if not value.is_zero():
+                            nonzero[i1, i2, (tm + tj) // 2] = value
+                assert yielded.keys() == nonzero.keys(), (tj1, tj2, tj)
+                for key, (t, square) in yielded.items():
+                    assert square == nonzero[key].magnitude_squared, (tj1, tj2, tj, key)
+                    assert (t > 0) - (t < 0) == nonzero[key].sign, (tj1, tj2, tj, key)
+
+
+class TestExactSumRules:
+    def test_cg_columns_and_rows_at_32(self):
+        for tj in range(0, 65, 2):
+            assert cg_column_sums(32, 32, tj) == [1] * (tj + 1), tj
+        assert cg_row_sums(32, 32) == [[1] * 33] * 33
+
+    def test_threejm_columns_at_32(self):
+        for tj3 in range(0, 65, 2):
+            assert threejm_column_sums(32, 32, tj3) == [Fraction(1, tj3 + 1)] * (tj3 + 1), tj3
+
+    @pytest.mark.parametrize("a,b,c,d,f", [(16, 16, 16, 16, 0), (16, 16, 16, 16, 16),
+                                           (16, 16, 16, 16, 32), (15, 16, 13, 14, 3),
+                                           (9, 16, 12, 13, 6), (2, 16, 16, 2, 4)])
+    def test_sixj_normalization(self, a, b, c, d, f):
+        # sum over x of (2x+1)(2f+1){a b x; c d f}^2 = 1 (Edmonds 1957, section 6.2), in
+        # doubled labels; the rule needs (a d f) and (c b f) to be triangles
+        assert triangle(H(a), H(d), H(f)) and triangle(H(c), H(b), H(f))
+        total = Fraction(0)
+        for x in range(max(abs(a - b), abs(c - d)), min(a + b, c + d) + 1, 2):
+            total += (x + 1) * (f + 1) * sixj(H(a), H(b), H(x), H(c), H(d), H(f)).magnitude_squared
+        assert total == 1
 
 
 def cg_reference(tj1: int, tj2: int, tj: int) -> np.ndarray:
