@@ -8,7 +8,9 @@ under the check's default tolerance or config.tol. The j, r and k grids
 come from VerifyConfig; each suite's fixed cap on them is one module-level
 value (the *_MAX constants and RANDOM_SAMPLES below), and the report's cap
 strings are derived from those values. All checks are pure; the only
-state is the seeded generator used for random label sampling, whose seed
+state is the seeded generator used for random label sampling, the
+standard library's random.Random (Mersenne Twister), whose stream for an
+int seed is the same on every CPython 3 version and platform; the seed
 is recorded in the report. The suites run in order in one thread: their
 time goes to Python under the GIL (Fraction arithmetic, small matrices),
 so threads would buy nothing. Results are sorted.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,11 +247,11 @@ def coupling_suite(config: VerifyConfig) -> _Residuals:
                 swapped = np.transpose(cg_nonstandard_tensor(sp2, sp1, sp), (1, 0, 2))
                 sign = -1.0 if ((j1.twice + j2.twice - j.twice) // 2) % 2 else 1.0
                 yield "coupling.interchange", point, float(np.max(np.abs(swapped - sign * direct)))
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     for r in config.r_values:
         point = {"samples": RANDOM_SAMPLES, "seed": config.seed, "j_max": str(RANDOM_J_MAX), "r": r}
         # a repeated draw gives the same residual, so each distinct pair runs once, in draw order
-        draws = [HalfInt(int(rng.integers(0, RANDOM_J_MAX.twice + 1))) for _ in range(2 * RANDOM_SAMPLES)]
+        draws = [HalfInt(rng.randrange(RANDOM_J_MAX.twice + 1)) for _ in range(2 * RANDOM_SAMPLES)]
         for j1, j2 in dict.fromkeys(zip(draws[::2], draws[1::2])):
             yield from _each("coupling.orthonormality_random", point,
                              verify_cg_orthonormality(SpinSpace(j1, r), SpinSpace(j2, r)))

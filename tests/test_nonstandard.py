@@ -386,7 +386,15 @@ def test_a_nan_in_one_panel_makes_both_residuals_nan(monkeypatch, block):
     assert list(report.residuals) == ["rows_orthonormal", "complete"]
     assert all(math.isnan(value) for value in report.residuals.values())
     # the fixed grid stops at n = 16, one panel; some seeded random draws split into several
+    check, sizes = verify.verify_cg_orthonormality, []
+
+    def sized(sp1, sp2):
+        sizes.append(sp1.dim * sp2.dim)
+        return check(sp1, sp2)
+
+    monkeypatch.setattr(verify, "verify_cg_orthonormality", sized)
     rows = verify.coupling_suite(VerifyConfig(j_max=H(0), r_values=(0.0,), k_values=(2,)))
+    assert max(sizes) > nonstandard._GRAM_PANEL_ROWS
     failed = [c for c in rows if not c.passed]
     assert [c.name for c in failed] == ["coupling.orthonormality_random"]
     assert math.isnan(failed[0].residual)

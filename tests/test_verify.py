@@ -7,10 +7,11 @@ import io
 import itertools
 import json
 import math
+import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
-
-import numpy as np
 
 from wigner_nonstd import cli, verify
 from wigner_nonstd.halfint import HalfInt
@@ -171,9 +172,9 @@ def test_each_distinct_random_draw_is_checked_once_in_draw_order(monkeypatch):
     monkeypatch.setattr(verify, "verify_cg_orthonormality", counted)
     rows = verify.coupling_suite(config)
     # replay the generator: two draws per sample, 2j1 then 2j2, for each r in turn
-    rng, distinct = np.random.default_rng(config.seed), []
+    rng, distinct = random.Random(config.seed), []
     for r in config.r_values:
-        draws = [tuple(int(rng.integers(0, verify.RANDOM_J_MAX.twice + 1)) for _ in range(2))
+        draws = [tuple(rng.randrange(verify.RANDOM_J_MAX.twice + 1) for _ in range(2))
                  for _ in range(verify.RANDOM_SAMPLES)]
         distinct += [(tj1, tj2, r) for tj1, tj2 in dict.fromkeys(draws)]
     assert len(distinct) < len(config.r_values) * verify.RANDOM_SAMPLES
@@ -182,6 +183,51 @@ def test_each_distinct_random_draw_is_checked_once_in_draw_order(monkeypatch):
     assert calls[fixed:] == distinct
     random_rows = [c for c in rows if c.name == "coupling.orthonormality_random"]
     assert [c.parameters["samples"] for c in random_rows] == [verify.RANDOM_SAMPLES] * 2
+
+
+# The first ten (2j1, 2j2) draws for the default seed. random.Random seeded with an int
+# gives the same Mersenne Twister stream on every CPython 3 version and platform.
+DEFAULT_SEED_FIRST_DRAWS = [(7, 2), (4, 0), (4, 8), (4, 4), (2, 6),
+                            (0, 7), (5, 0), (2, 6), (7, 2), (7, 8)]
+
+
+def test_the_default_seed_draws_a_pinned_stream(monkeypatch):
+    config = VerifyConfig(r_values=(0.0,))
+    assert config.seed == 20260823
+    rng, bound = random.Random(config.seed), verify.RANDOM_J_MAX.twice + 1
+    assert [(rng.randrange(bound), rng.randrange(bound))
+            for _ in DEFAULT_SEED_FIRST_DRAWS] == DEFAULT_SEED_FIRST_DRAWS
+    check, calls = verify.verify_cg_orthonormality, []
+
+    def counted(sp1, sp2):
+        calls.append((sp1.j.twice, sp2.j.twice))
+        return check(sp1, sp2)
+
+    monkeypatch.setattr(verify, "verify_cg_orthonormality", counted)
+    verify.coupling_suite(config)
+    # the suite checks each distinct pair once, after the fixed grid, in draw order
+    fixed = (verify.COUPLING_J_MAX.twice + 1) ** 2
+    first = list(dict.fromkeys(DEFAULT_SEED_FIRST_DRAWS))
+    assert calls[fixed:fixed + len(first)] == first
+
+
+# A fresh interpreter runs one small verify job and prints the numpy.random and _hashlib
+# modules it loaded beyond those that importing numpy alone loads.
+IMPORT_GUARD = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from wigner_nonstd import cli
+code = cli.main(["verify", "--j-max", "1", "--k", "2", "--output", sys.argv[1]])
+print(json.dumps({"code": code, "loaded": sorted(
+    m for m in set(sys.modules) - before if m.startswith("numpy.random") or m == "_hashlib")}))
+"""
+
+
+def test_verify_loads_neither_numpy_random_nor_hashlib(tmp_path):
+    out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "report.json")],
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert json.loads(out) == {"code": 0, "loaded": []}
 
 
 def _refuse(token):
