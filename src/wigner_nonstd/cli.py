@@ -14,14 +14,17 @@ of their fixed labels (j, then r; a repeated --r is refused) and each is
 written in C order of its axes (s, so alpha = -j r + s, or m ascending);
 alphas that round to one float keep s order. CSV output adds magnitude
 and phase columns. tabulate-standard takes its cg and threejm tables from
-one exact binomial sum per triad (standard_wra.symbol_table). Each command builds its
-output as text chunks, and emit streams them to stdout or --output. Table rows
-in both formats, and export-ops CSV, come from one text template per block; an
-export-ops matrix in JSON is written row by row, with its zero pair's text
-made once. JSON is byte for byte what json.dump with a two-space indent
-writes, except that a non-finite float (a failing verify residual) is null,
-and CSV what csv.writer writes. A job is refused (bad or missing flags,
-non-finite values, over MAX_ROWS rows) before any byte is written. A config
+one exact binomial sum per triad (standard_wra.symbol_table). Each command
+builds one document in the shape that is written (a table's rows are its
+blocks, verify's the row dicts of verify.run_suites), and emit streams its
+text chunks to stdout or --output. Table rows in both formats, and export-ops
+CSV, come from one text template per block; an export-ops matrix in JSON (a
+matrix is the only array the JSON writer takes) is written row by row, with
+its zero pair's text made once. JSON is byte for byte what json.dump with a
+two-space indent writes, except that a non-finite float (a failing verify
+residual) is null, and CSV what csv.writer writes. A job is refused (bad or
+missing flags, non-finite values, over MAX_ROWS rows) before any byte is
+written: a block refuses a non-finite value when it is made. A config
 file in key = value form may set any subcommand's long flags; each reads its
 own, other keys are refused, and explicit flags win.
 Exit status: 0 success, 1 verification failure, 2 bad arguments, 74 a failed
@@ -197,13 +200,9 @@ class _Block:
     values: np.ndarray  # C order over the axes
     exact: tuple[str, ...] | None = None
 
-
-@dataclass(frozen=True)
-class _Table:
-    columns: list[str]
-    scheme: str
-    formula: str
-    blocks: list[_Block]
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.values).all():
+            raise ValueError("symbol value must be finite")
 
 
 def _check_rows(job: str, rows: int) -> None:
@@ -211,7 +210,8 @@ def _check_rows(job: str, rows: int) -> None:
         raise ConfigError(f"{job} would write {rows:,} rows, over the row cap of {MAX_ROWS:,}")
 
 
-def _build_table(config: JobConfig) -> _Table:
+def _build_table(config: JobConfig) -> dict:
+    """The table as a document whose rows are its blocks; each writer expands them in C order."""
     j1, j2, j3, r_values = config.j1, config.j2, config.j3, config.r_values
     if config.command == "tabulate-cg":
         if j1 is None or j2 is None:
@@ -226,8 +226,8 @@ def _build_table(config: JobConfig) -> _Table:
                     (str(j1), str(j2), str(j), repr(float(r))),
                     (_alpha_axis(sp1), _alpha_axis(sp2), _alpha_axis(sp)),
                     cg_nonstandard_tensor(sp1, sp2, sp)))
-        return _Table(["j1", "j2", "j", "r", "alpha1", "alpha2", "alpha"],
-                      "nonstandard", "cg", blocks)
+        return {"columns": ["j1", "j2", "j", "r", "alpha1", "alpha2", "alpha"],
+                "scheme": "nonstandard", "formula": "cg", "rows": blocks}
     if config.command == "tabulate-fbar":
         if j1 is None or j2 is None or j3 is None:
             raise ConfigError("tabulate-fbar needs --j1, --j2 and --j3")
@@ -240,8 +240,8 @@ def _build_table(config: JobConfig) -> _Table:
                 (str(j1), str(j2), str(j3), repr(float(r))),
                 tuple(_alpha_axis(sp) for sp in spaces),
                 fbar_tensor(*spaces)))
-        return _Table(["j1", "j2", "j3", "r", "alpha1", "alpha2", "alpha3"],
-                      "nonstandard", "fbar", blocks)
+        return {"columns": ["j1", "j2", "j3", "r", "alpha1", "alpha2", "alpha3"],
+                "scheme": "nonstandard", "formula": "fbar", "rows": blocks}
 
     if config.symbol == "sixj":
         if len(config.sixj_labels) != 6:
@@ -249,7 +249,8 @@ def _build_table(config: JobConfig) -> _Table:
         value = sixj(*config.sixj_labels)
         block = _Block(tuple(map(str, config.sixj_labels)), (),
                        np.array(float(value)), (str(value),))
-        return _Table(["j1", "j2", "j3", "j4", "j5", "j6"], "standard", "sixj", [block])
+        return {"columns": ["j1", "j2", "j3", "j4", "j5", "j6"],
+                "scheme": "standard", "formula": "sixj", "rows": [block]}
     if config.symbol == "cg":
         if j1 is None or j2 is None or config.j is None:
             raise ConfigError("tabulate-standard --symbol cg needs --j1, --j2 and --j")
@@ -266,15 +267,7 @@ def _build_table(config: JobConfig) -> _Table:
     tensor, texts = symbol_table(config.symbol, *spins)
     axes = tuple(tuple(map(str, m_values(x))) for x in spins)
     block = _Block(tuple(map(str, spins)), axes, tensor, tuple(texts))
-    return _Table(columns, "standard", config.symbol, [block])
-
-
-def _format_table(table: _Table) -> dict:
-    """The table as a document whose rows are its blocks; each writer expands them in C order."""
-    if not all(np.isfinite(block.values).all() for block in table.blocks):
-        raise ValueError("symbol value must be finite")
-    return {"columns": table.columns, "scheme": table.scheme,
-            "formula": table.formula, "rows": table.blocks}
+    return {"columns": columns, "scheme": "standard", "formula": config.symbol, "rows": [block]}
 
 
 def _table_csv(document: dict) -> Iterator[str]:
@@ -380,7 +373,7 @@ def _indent(level: int) -> str:
 
 def _json_chunks(value, level: int) -> Iterator[str]:
     """value as json.dump with a two-space indent writes it at nesting level, in chunks; a complex
-    ndarray is written as its nested [re, im] lists, and a _Block as its rows, spliced in."""
+    matrix is written as its rows of [re, im] pairs, and a _Block as its rows, spliced in."""
     if isinstance(value, str):
         yield _quote(value)
     elif isinstance(value, float) and not math.isfinite(value):
@@ -414,36 +407,26 @@ def _json_chunks(value, level: int) -> Iterator[str]:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _nest(texts: Iterator[str], size: int, level: int) -> Iterator[str]:
-    """Each run of size texts as one JSON list at level."""
-    head, separator, tail = "[" + _indent(level + 1), "," + _indent(level + 1), _indent(level) + "]"
-    while group := list(itertools.islice(texts, size)):
-        yield head + separator.join(group) + tail
-
-
 def _array_text(values: np.ndarray, level: int) -> Iterator[str]:
-    """A complex array as its nested lists of [re, im] pairs at level, one template per depth,
-    in one chunk per item of the outermost list.
+    """A complex matrix as its list of rows of [re, im] pairs at level, one chunk per row.
 
     The text of the pair (+0.0, +0.0) is made once. A pair is zero by its bits,
     so a -0.0 in either part is spelled by its own repr.
     """
+    if values.ndim != 2:
+        raise TypeError(f"Array of shape {values.shape} is not JSON serializable; only a matrix is")
     pairs = np.asarray(values, dtype=complex).reshape(-1).view(np.float64).reshape(-1, 2)
-    depth = level + values.ndim
-    pair = "[" + _indent(depth + 1) + "%r," + _indent(depth + 1) + "%r" + _indent(depth) + "]"
+    pair = "[" + _indent(level + 3) + "%r," + _indent(level + 3) + "%r" + _indent(level + 2) + "]"
     bits = pairs.view(np.uint64)
     nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])
     texts = [pair % (0.0, 0.0)] * len(pairs)
     nonzero_pairs = zip(pairs[nonzero, 0].tolist(), pairs[nonzero, 1].tolist())
     for index, text in zip(nonzero.tolist(), map(pair.__mod__, nonzero_pairs)):
         texts[index] = text
-    items = iter(texts)
-    for size in reversed(values.shape[1:]):
-        depth -= 1
-        items = _nest(items, size, depth)
-    lead = "[" + _indent(level + 1)
-    for item in items:
-        yield lead + item
+    lead, separator, width = "[" + _indent(level + 1), "," + _indent(level + 2), values.shape[1]
+    for start in range(0, len(texts), width):
+        yield (lead + "[" + _indent(level + 2) + separator.join(texts[start:start + width])
+               + _indent(level + 1) + "]")
         lead = "," + _indent(level + 1)
     yield _indent(level) + "]"
 
@@ -515,7 +498,7 @@ def run(config: JobConfig) -> int:
     if config.fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {config.fmt!r}")
     if config.command in ("tabulate-cg", "tabulate-fbar", "tabulate-standard"):
-        document, csv_text = _format_table(_build_table(config)), _table_csv
+        document, csv_text = _build_table(config), _table_csv
     elif config.command == "export-ops":
         document, csv_text = _export_ops_payload(config), _export_ops_csv
     elif config.command == "verify":

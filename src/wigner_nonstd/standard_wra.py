@@ -8,19 +8,21 @@ An exact value is built, compared, printed and converted, never multiplied:
 threejm folds its phase and 1/(2j3+1) into cg's (sign, square) in one step.
 
 The dense float tensors cg_tensor and threejm_tensor, and the exact tables
-of symbol_table, come from one exact kernel per triad (j1, j2, j),
-_cg_triad_squares. It writes each square with binomials in place of
-factorials (L. Wei, Comput. Phys. Commun. 120 (1999) 222): the triad's
-binomial rows are built once, and each row of entries is one integer
-convolution of them. The per-entry functions (cg, threejm, cg_float) keep
-Racah's factorial sum and are the kernel's oracle, so the two are
-independent formulas. MAX_FACTORIAL_ARG bounds both: a triad whose cg
-would need a factorial past it raises the same error from the tensors.
-Nothing here is memoized: every call computes its value afresh. Each
-tensor entry is sign * sqrt(num / den) with num / den the entry's exact
-square in integers; Python's int / int is correctly rounded, as
-Fraction.__float__ is, so the tensors equal the per-entry floats bit for
-bit. symbol_table holds each nonzero square as a Fraction only to print it.
+of symbol_table, are thin calls to one routine, _triad_symbols, which
+states the 3-jm index, phase and denominator rule once and reads one exact
+kernel per triad (j1, j2, j), _cg_triad_squares. The kernel writes each
+square with binomials in place of factorials (L. Wei, Comput. Phys.
+Commun. 120 (1999) 222): the triad's binomial rows are built once, and
+each row of entries is one integer convolution of them. The per-entry
+functions (cg, threejm, cg_float) keep Racah's factorial sum and are the
+kernel's oracle, so the two are independent formulas. MAX_FACTORIAL_ARG
+bounds both: a triad whose cg would need a factorial past it raises the
+same error from the tensors. Nothing here is memoized: every call computes
+its value afresh. Each tensor entry is rounded once, as
+sign * sqrt(num / den) with num / den the entry's exact square in integers;
+Python's int / int is correctly rounded, as Fraction.__float__ is, so the
+tensors equal the per-entry floats bit for bit. symbol_table holds each
+nonzero square as a Fraction only to print it.
 """
 
 from __future__ import annotations
@@ -330,57 +332,50 @@ def _cg_triad_squares(tj1: int, tj2: int, tj: int):
             i += 1
 
 
+def _triad_symbols(symbol: str, j1: HalfInt, j2: HalfInt, j3: HalfInt,
+                   exact: bool = False) -> tuple[np.ndarray, list[str] | None]:
+    """The cg (j3 = j) or threejm symbols of one triad as a read-only float array, indices
+    ascending in m, and with exact the text of each entry's exact value in C order (else None).
+
+    One _cg_triad_squares pass gives every nonzero entry, and each is rounded
+    once: int / int is correctly rounded, as Fraction.__float__ is, so the
+    floats and texts are float() and str() of cg and threejm bit for bit.
+    Every other entry is 0.0 and "0".
+    """
+    tj1, tj2, tj3 = j1.twice, j2.twice, j3.twice
+    out = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
+    flat = out.reshape(-1)
+    texts = ["0"] * out.size if exact else None
+    for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj3):
+        negative = t < 0
+        if symbol == "threejm":
+            # The CG entry at m = m1+m2 is the 3-jm entry at m3 = -m, index tj3 - i.
+            # 2j3+1 goes into the denominator before the one rounding division, as
+            # threejm folds it into the exact square, and (-1)^(j1-j2-m3) is
+            # (-1)^(j1-j2+m) with j1-j2+m = (tj1-tj2-tj3)/2 + i.
+            negative ^= ((tj1 - tj2 - tj3) // 2 + i) % 2 == 1
+            den *= tj3 + 1
+            i = tj3 - i
+        index = (i1 * (tj2 + 1) + i2) * (tj3 + 1) + i
+        root = math.sqrt(num / den)
+        flat[index] = -root if negative else root
+        if exact:
+            texts[index] = str(ExactSqrtRational(-1 if negative else 1, Fraction(num, den)))
+    out.setflags(write=False)
+    return out, texts
+
+
 def cg_tensor(j1: HalfInt, j2: HalfInt, j: HalfInt) -> np.ndarray:
     """Dense float array of (j1 j2 m1 m2 | j m), indices ascending in m; read-only."""
-    tj1, tj2, tj = j1.twice, j2.twice, j.twice
-    out = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
-    # int / int is correctly rounded, as Fraction.__float__ is, so each entry
-    # is bit-identical to float(cg(...)).
-    for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj):
-        root = math.sqrt(num / den)
-        out[i1, i2, i] = root if t > 0 else -root
-    out.setflags(write=False)
-    return out
+    return _triad_symbols("cg", j1, j2, j)[0]
 
 
 def threejm_tensor(j1: HalfInt, j2: HalfInt, j3: HalfInt) -> np.ndarray:
     """Dense float array of the 3-jm symbol, indices ascending in m; read-only."""
-    tj1, tj2, tj3 = j1.twice, j2.twice, j3.twice
-    out = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
-    # The CG entry at m = m1+m2 is the 3-jm entry at m3 = -m, index tj3 - i.
-    # 2j3+1 goes into the denominator before the one rounding division, as
-    # threejm folds it into the exact square, and (-1)^(j1-j2-m3) is
-    # (-1)^(j1-j2+m) with j1-j2+m = (tj1-tj2-tj3)/2 + i.
-    for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj3):
-        root = math.sqrt(num / (den * (tj3 + 1)))
-        odd_phase = ((tj1 - tj2 - tj3) // 2 + i) % 2 == 1
-        out[i1, i2, tj3 - i] = -root if (t < 0) != odd_phase else root
-    out.setflags(write=False)
-    return out
+    return _triad_symbols("threejm", j1, j2, j3)[0]
 
 
 def symbol_table(symbol: str, j1: HalfInt, j2: HalfInt,
                  j3: HalfInt) -> tuple[np.ndarray, list[str]]:
-    """The cg (j3 = j) or threejm symbols of one triad as a float array indexed as cg_tensor and
-    threejm_tensor are, with the text of each entry's exact value in C order.
-
-    One _cg_triad_squares pass gives every nonzero entry; each of them is
-    printed from its exact square and rounded as the tensors round it, so the
-    texts and floats are str() and float() of cg and threejm. Every other
-    entry is 0.0 and "0".
-    """
-    tj1, tj2, tj3 = j1.twice, j2.twice, j3.twice
-    out = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
-    texts = ["0"] * out.size
-    for i1, i2, i, t, num, den in _cg_triad_squares(tj1, tj2, tj3):
-        negative = t < 0
-        if symbol == "threejm":
-            # threejm_tensor's phase, denominator and index m3 = -m
-            negative ^= ((tj1 - tj2 - tj3) // 2 + i) % 2 == 1
-            den *= tj3 + 1
-            i = tj3 - i
-        root = math.sqrt(num / den)
-        out[i1, i2, i] = -root if negative else root
-        texts[(i1 * (tj2 + 1) + i2) * (tj3 + 1) + i] = str(
-            ExactSqrtRational(-1 if negative else 1, Fraction(num, den)))
-    return out, texts
+    """The cg or threejm tensor of one triad and the text of each entry's exact value, C order."""
+    return _triad_symbols(symbol, j1, j2, j3, exact=True)

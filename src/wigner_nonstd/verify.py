@@ -2,18 +2,19 @@
 
 Each suite sweeps one family of identities over a grid and yields a
 (check, point, residual) triple for every residual it computes. Rows are
-made in one place, the _suite reducer: it keeps one row per (check, point)
-at its largest residual, a NaN at any point winning so that the row fails,
-under the check's default tolerance or config.tol. The j, r and k grids
-come from VerifyConfig; each suite's fixed cap on them is one module-level
-value (the *_MAX constants and RANDOM_SAMPLES below), and the report's cap
-strings are derived from those values. All checks are pure; the only
-state is the seeded generator used for random label sampling, the
-standard library's random.Random (Mersenne Twister), whose stream for an
-int seed is the same on every CPython 3 version and platform; the seed
-is recorded in the report. The suites run in order in one thread: their
-time goes to Python under the GIL (Fraction arithmetic, small matrices),
-so threads would buy nothing. Results are sorted.
+made in one place, the _suite reducer, as the dicts the report prints: it
+keeps one row per (check, point) at its largest residual, a NaN at any
+point winning so that the row fails, under the check's default tolerance
+or config.tol. The j, r and k grids come from VerifyConfig; each suite's
+fixed cap on them is one module-level value (the *_MAX constants and
+RANDOM_SAMPLES below), and the report's cap strings are derived from
+those values. All checks are pure; the only state is the seeded generator
+used for random label sampling, the standard library's random.Random
+(Mersenne Twister), whose stream for an int seed is the same on every
+CPython 3 version and platform; the seed is recorded in the report. The
+suites run in order in one thread: their time goes to Python under the
+GIL (Fraction arithmetic, small matrices), so threads would buy nothing.
+Results are sorted.
 """
 
 from __future__ import annotations
@@ -96,29 +97,6 @@ WIGNER_ECKART_J_MAX = HalfInt(6)  # 3
 STANDARD_J_MAX = HalfInt(4)      # 2, on every argument of the exact symbols
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One named residual with its tolerance and parameter point."""
-
-    name: str
-    parameters: dict
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.tolerance)
-
-    def as_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "parameters": self.parameters,
-            "residual": float(self.residual),
-            "tolerance": float(self.tolerance),
-            "pass": self.passed,
-        }
-
-
 @dataclass
 class VerifyConfig:
     """Grid over which the suites run; tol, when set, overrides every default."""
@@ -134,22 +112,26 @@ class VerifyConfig:
 _Residuals = Iterator[tuple[str, dict, float]]
 
 
-def _suite(generate: Callable[[VerifyConfig], _Residuals]) -> Callable[..., list[CheckResult]]:
-    """The list-returning suite that reduces generate's residuals to rows.
+def _suite(generate: Callable[[VerifyConfig], _Residuals]) -> Callable[..., list[dict]]:
+    """The list-returning suite that reduces generate's residuals to report rows.
 
     One row per (check, point), at its largest residual; a NaN at any point
-    wins, so that row fails.
+    wins, and fails the row's "pass". Residual and tolerance are made plain
+    floats, whose repr the CSV writer prints (a numpy float's repr is not).
     """
     @functools.wraps(generate)
-    def suite(config: VerifyConfig) -> list[CheckResult]:
+    def suite(config: VerifyConfig) -> list[dict]:
         worst: dict[tuple[str, tuple], float] = {}
         for name, point, residual in generate(config):
             key = (name, tuple(point.items()))
             prior = worst.get(key, residual)
             worst[key] = prior if math.isnan(prior) or prior >= residual else residual
-        return [CheckResult(name, dict(point), residual,
-                            DEFAULT_TOLERANCES[name] if config.tol is None else config.tol)
-                for (name, point), residual in worst.items()]
+        rows = []
+        for (name, point), residual in worst.items():
+            tolerance = float(DEFAULT_TOLERANCES[name] if config.tol is None else config.tol)
+            rows.append({"check": name, "parameters": dict(point), "residual": float(residual),
+                         "tolerance": tolerance, "pass": bool(residual <= tolerance)})
+        return rows
     return suite
 
 
@@ -446,15 +428,16 @@ SUITES = (
 )
 
 
-def run_suites(config: VerifyConfig) -> list[CheckResult]:
-    """Run every suite and return results in a deterministic order."""
-    results = [item for suite in SUITES for item in suite(config)]
-    results.sort(key=lambda c: (c.name, sorted((k, str(v)) for k, v in c.parameters.items())))
+def run_suites(config: VerifyConfig) -> list[dict]:
+    """Run every suite and return its report rows in a deterministic order."""
+    results = [row for suite in SUITES for row in suite(config)]
+    results.sort(key=lambda row: (row["check"],
+                                  sorted((k, str(v)) for k, v in row["parameters"].items())))
     return results
 
 
-def report_dict(results: list[CheckResult], config: VerifyConfig) -> dict:
-    failed = [c for c in results if not c.passed]
+def report_dict(results: list[dict], config: VerifyConfig) -> dict:
+    failed = [c for c in results if not c["pass"]]
     return {
         "config": {
             "j_max": str(config.j_max),
@@ -466,5 +449,5 @@ def report_dict(results: list[CheckResult], config: VerifyConfig) -> dict:
         "total": len(results),
         "failed": len(failed),
         "all_pass": not failed,
-        "checks": [c.as_dict() for c in results],
+        "checks": results,
     }

@@ -794,7 +794,7 @@ class TestStreamedWriter:
                 return documents[-1]
             return record
 
-        for name in ("_format_table", "_export_ops_payload", "report_dict"):
+        for name in ("_build_table", "_export_ops_payload", "report_dict"):
             monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
         out = tmp_path / "out"
         assert run_main(*argv, "--format", fmt, "--output", str(out)) == 0
@@ -837,7 +837,7 @@ class TestStreamedWriter:
             ("-0.0", "-0.0")}
 
     @pytest.mark.parametrize("level", [0, 3])
-    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 5), (5, 1)])
     def test_array_text_is_json_dumps_at_its_level(self, shape, level):
         # signed zeros in either part mixed with nonzeros, at seeded positions
         parts = [0.0, -0.0, 1.5, -2.25e-300, 1 / 3]
@@ -850,8 +850,13 @@ class TestStreamedWriter:
         chunks = list(cli._array_text(values, level))
         reference = json.dumps(plain(values), indent=2).replace("\n", "\n" + "  " * level)
         assert "".join(chunks) == reference
-        # one chunk per item of the outermost list, then the closing bracket
+        # one chunk per row, then the closing bracket
         assert len(chunks) == shape[0] + 1
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 2)])
+    def test_array_text_takes_only_a_matrix(self, shape):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            list(cli._array_text(np.zeros(shape, dtype=complex), 0))
 
     def test_export_ops_negative_zero_keeps_its_sign(self, capsys, monkeypatch):
         signed = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0)]
@@ -883,7 +888,7 @@ class TestStreamedWriter:
 
     def test_csv_table_rows_are_generated_lazily(self):
         config = cli.JobConfig(command="tabulate-cg", j1=HalfInt(1), j2=HalfInt(1))
-        chunks = cli._table_csv(cli._format_table(cli._build_table(config)))
+        chunks = cli._table_csv(cli._build_table(config))
         assert not isinstance(chunks, (list, tuple, str))
         assert next(chunks) == "j1,j2,j,r,alpha1,alpha2,alpha,re,im,magnitude,phase\r\n"
         # then one chunk per block of 2 x 2 x (2j + 1) rows (j1 = j2 = 1/2), the first at j = 0
@@ -954,10 +959,12 @@ class TestStreamedWriter:
 
     def test_row_cap_admits_the_baseline_jobs(self, capsys, monkeypatch):
         # rows are counted from the blocks that would be written, not formatted
-        def row_count(table):
-            return {"rows": sum(block.values.size for block in table.blocks)}
+        build_table = cli._build_table
 
-        monkeypatch.setattr(cli, "_format_table", row_count)
+        def row_count(config):
+            return {"rows": sum(block.values.size for block in build_table(config)["rows"])}
+
+        monkeypatch.setattr(cli, "_build_table", row_count)
         monkeypatch.setattr(cli, "cg_nonstandard_tensor",
                             lambda sp1, sp2, sp: np.zeros((sp1.dim, sp2.dim, sp.dim)))
         monkeypatch.setattr(cli, "symbol_table", lambda symbol, *spins: (

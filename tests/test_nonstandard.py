@@ -395,9 +395,9 @@ def test_a_nan_in_one_panel_makes_both_residuals_nan(monkeypatch, block):
     monkeypatch.setattr(verify, "verify_cg_orthonormality", sized)
     rows = verify.coupling_suite(VerifyConfig(j_max=H(0), r_values=(0.0,), k_values=(2,)))
     assert max(sizes) > nonstandard._GRAM_PANEL_ROWS
-    failed = [c for c in rows if not c.passed]
-    assert [c.name for c in failed] == ["coupling.orthonormality_random"]
-    assert math.isnan(failed[0].residual)
+    failed = [c for c in rows if not c["pass"]]
+    assert [c["check"] for c in failed] == ["coupling.orthonormality_random"]
+    assert math.isnan(failed[0]["residual"])
 
 
 @pytest.mark.parametrize("r", [0.0, 0.37, -5 / 3])

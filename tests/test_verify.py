@@ -13,11 +13,13 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
+
 from wigner_nonstd import cli, verify
 from wigner_nonstd.halfint import HalfInt
 from wigner_nonstd.standard_wra import ExactSqrtRational
 from wigner_nonstd.su2gen import ResidualReport
-from wigner_nonstd.verify import DEFAULT_TOLERANCES, CheckResult, VerifyConfig, run_suites
+from wigner_nonstd.verify import DEFAULT_TOLERANCES, VerifyConfig, run_suites
 
 # The (check, parameters) rows of the default grid with k = 2..22, as the
 # benchmark's verify workload runs it. The digest is sha256 over the rows
@@ -43,15 +45,16 @@ DEFAULT_K22_COUNTS = {
 def test_default_grid_check_set_is_unchanged():
     results = run_suites(VerifyConfig(k_values=tuple(range(2, 23))))
     assert len(results) == DEFAULT_K22_ROWS
-    assert dict(collections.Counter(c.name for c in results)) == DEFAULT_K22_COUNTS
+    assert dict(collections.Counter(c["check"] for c in results)) == DEFAULT_K22_COUNTS
     # w_infinity stays capped at k <= 6 and the oscillator restriction at k <= 10
-    assert {c.parameters["k"] for c in results if c.name == "quon.w_infinity"} == set(range(2, 7))
-    assert {c.parameters["k"] for c in results
-            if c.name == "spin.quon_restriction"} == set(range(2, 11))
-    rows = sorted(json.dumps([c.name, c.parameters], sort_keys=True) for c in results)
+    assert {c["parameters"]["k"] for c in results
+            if c["check"] == "quon.w_infinity"} == set(range(2, 7))
+    assert {c["parameters"]["k"] for c in results
+            if c["check"] == "spin.quon_restriction"} == set(range(2, 11))
+    rows = sorted(json.dumps([c["check"], c["parameters"]], sort_keys=True) for c in results)
     assert len(set(rows)) == DEFAULT_K22_ROWS
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DEFAULT_K22_DIGEST
-    assert all(c.passed for c in results)
+    assert all(c["pass"] for c in results)
 
 
 def test_suites_run_in_order_on_the_calling_thread(monkeypatch):
@@ -60,27 +63,28 @@ def test_suites_run_in_order_on_the_calling_thread(monkeypatch):
     def suite(name):
         def run(config):
             calls.append((name, threading.get_ident()))
-            return [CheckResult(f"{name}.check", {"k": 2}, 0.0, 1.0)]
+            return [{"check": f"{name}.check", "parameters": {"k": 2}, "residual": 0.0,
+                     "tolerance": 1.0, "pass": True}]
         return run
 
     monkeypatch.setattr(verify, "SUITES", (suite("b"), suite("a"), suite("c")))
     results = run_suites(VerifyConfig())
     assert calls == [(name, threading.get_ident()) for name in "bac"]
-    assert [c.name for c in results] == ["a.check", "b.check", "c.check"]
+    assert [c["check"] for c in results] == ["a.check", "b.check", "c.check"]
 
 
 def test_every_row_carries_its_default_tolerance():
     results = run_suites(VerifyConfig(k_values=tuple(range(2, 23))))
     for c in results:
-        assert c.tolerance == DEFAULT_TOLERANCES[c.name], c.name
-    assert {c.name for c in results} == set(DEFAULT_TOLERANCES)
+        assert c["tolerance"] == DEFAULT_TOLERANCES[c["check"]], c["check"]
+    assert {c["check"] for c in results} == set(DEFAULT_TOLERANCES)
 
 
 def test_tol_overrides_every_tolerance():
     config = VerifyConfig(j_max=HalfInt(1), r_values=(0.0, 0.37), k_values=(2, 3), tol=1e-3)
     results = run_suites(config)
-    assert {c.name for c in results} == set(DEFAULT_TOLERANCES)
-    assert {c.tolerance for c in results} == {1e-3}
+    assert {c["check"] for c in results} == set(DEFAULT_TOLERANCES)
+    assert {c["tolerance"] for c in results} == {1e-3}
 
 
 # The smallest grid that runs every suite: one j, one r and one k.
@@ -94,7 +98,7 @@ def test_every_suite_returns_its_rows_under_a_distinct_label():
     total = 0
     for suite in verify.SUITES:
         rows = suite(ONE_POINT)
-        assert isinstance(rows, list) and all(isinstance(c, CheckResult) for c in rows)
+        assert isinstance(rows, list) and all(isinstance(c, dict) for c in rows)
         labels.add(suite.__name__.removesuffix("_suite"))
         total += len(rows)
     assert labels == {"quon", "spin", "alpha", "coupling", "fbar", "recoupling",
@@ -113,13 +117,26 @@ def test_the_reducer_keeps_each_rows_largest_residual_and_any_nan():
 
     rows = fake_suite(VerifyConfig(tol=4.0))
     assert fake_suite.__name__ == "fake_suite"
-    assert [(c.name, c.parameters) for c in rows] == [
+    assert [(c["check"], c["parameters"]) for c in rows] == [
         ("quon.relations", {"k": 2}), ("quon.relations", {"k": 3}),
         ("quon.relations", {"k": 4}), ("quon.nilpotency", {"k": 2})]
-    assert rows[0].residual == 3.0 and rows[0].passed
-    assert math.isnan(rows[1].residual) and math.isnan(rows[2].residual)
-    assert not rows[1].passed and not rows[2].passed
-    assert {c.tolerance for c in rows} == {4.0}
+    assert rows[0]["residual"] == 3.0 and rows[0]["pass"]
+    assert math.isnan(rows[1]["residual"]) and math.isnan(rows[2]["residual"])
+    assert not rows[1]["pass"] and not rows[2]["pass"]
+    assert {c["tolerance"] for c in rows} == {4.0}
+
+
+def test_rows_hold_plain_floats_whatever_a_suite_yields():
+    # the CSV writer prints repr() of both numbers, and numpy 2 spells a float64's
+    # repr np.float64(...)
+    @verify._suite
+    def fake_suite(config):
+        yield "quon.relations", {"k": 2}, np.float64(0.5)
+
+    (row,) = fake_suite(VerifyConfig(tol=np.float64(1.0)))
+    assert (type(row["residual"]), type(row["tolerance"]), type(row["pass"])) == (float, float, bool)
+    csv_text = "".join(cli._verify_csv(verify.report_dict([row], VerifyConfig())))
+    assert csv_text.splitlines()[1].endswith(',0.5,1.0,True')
 
 
 def _nan_once(monkeypatch, name, hit):
@@ -151,10 +168,10 @@ def test_a_nan_at_one_point_fails_its_aggregated_row(monkeypatch, capsys):
     draw, path = _nan_at_one_random_draw_and_one_path(monkeypatch)
     rows = verify.coupling_suite(ONE_POINT) + verify.recoupling_suite(ONE_POINT)
     assert len(draw) == 1 and len(path) == 1
-    failed = [c for c in rows if not c.passed]
-    assert [c.name for c in failed] == ["coupling.orthonormality_random", "recoupling.sixj"]
-    assert all(math.isnan(c.residual) for c in failed)
-    assert not any(math.isnan(c.residual) for c in rows if c.passed)
+    failed = [c for c in rows if not c["pass"]]
+    assert [c["check"] for c in failed] == ["coupling.orthonormality_random", "recoupling.sixj"]
+    assert all(math.isnan(c["residual"]) for c in failed)
+    assert not any(math.isnan(c["residual"]) for c in rows if c["pass"])
 
     _nan_at_one_random_draw_and_one_path(monkeypatch)
     assert cli.main(["verify", "--j-max", "1", "--k", "2", "--r", "0"]) == 1
@@ -181,8 +198,8 @@ def test_each_distinct_random_draw_is_checked_once_in_draw_order(monkeypatch):
     fixed = len(config.r_values) * (verify.COUPLING_J_MAX.twice + 1) ** 2
     assert len(calls) == fixed + len(distinct)
     assert calls[fixed:] == distinct
-    random_rows = [c for c in rows if c.name == "coupling.orthonormality_random"]
-    assert [c.parameters["samples"] for c in random_rows] == [verify.RANDOM_SAMPLES] * 2
+    random_rows = [c for c in rows if c["check"] == "coupling.orthonormality_random"]
+    assert [c["parameters"]["samples"] for c in random_rows] == [verify.RANDOM_SAMPLES] * 2
 
 
 # The first ten (2j1, 2j2) draws for the default seed. random.Random seeded with an int
