@@ -463,6 +463,13 @@ class TestVerifyCommand:
         assert report["all_pass"] is False
         assert report["failed"] > 0
 
+    def test_huge_winding_parameters_pass(self, capsys):
+        # phases are reduced in exact turns, so every check passes at its default tolerance
+        code = run_main("verify", "--j-max", "5", "--k", "2-6", "--r=1e6,1e12,123456789/7")
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["all_pass"] is True
+
     def test_k_up_to_max_k_passes(self, capsys):
         code = run_main("verify", "--j-max", "1", "--k", "60-64")
         captured = capsys.readouterr()
@@ -571,6 +578,15 @@ class TestConfigFile:
         assert f"{cfg}:3: key 'j1' is already set on line 1" in captured.err
 
 
+# megabytes of output each: a job is still writing when its reader goes away
+LARGE_OUTPUT_JOBS = [
+    ["tabulate-cg", "--j1", "4", "--j2", "4", "--format", "json"],
+    ["tabulate-cg", "--j1", "4", "--j2", "4", "--format", "csv"],
+    ["export-ops", "--j", "64"],  # the operator matrices, streamed row by row
+]
+LARGE_OUTPUT_IDS = ["json", "csv", "export-ops"]
+
+
 class TestOutputFiles:
     def test_atomic_write_leaves_no_partials(self, tmp_path):
         out = tmp_path / "table.json"
@@ -597,8 +613,8 @@ class TestOutputFiles:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_closed_fifo_exits_141_quietly(self, tmp_path, fmt):
+    @pytest.mark.parametrize("argv", LARGE_OUTPUT_JOBS, ids=LARGE_OUTPUT_IDS)
+    def test_closed_fifo_exits_141_quietly(self, tmp_path, argv):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         received = []
@@ -609,10 +625,8 @@ class TestOutputFiles:
 
         reader = threading.Thread(target=read_100_bytes_and_close, daemon=True)
         reader.start()
-        # about 1.5 MB of output: the job is still writing when the reader goes away
         proc = subprocess.run(
-            [sys.executable, "-m", "wigner_nonstd.cli", "tabulate-cg", "--j1", "4", "--j2", "4",
-             "--format", fmt, "--output", str(fifo)],
+            [sys.executable, "-m", "wigner_nonstd.cli", *argv, "--output", str(fifo)],
             capture_output=True, timeout=120)
         reader.join(timeout=60)
         assert len(received[0]) == 100
@@ -694,6 +708,10 @@ WRITER_JOBS = [
     # one block over cli._CHUNK_ROWS rows: 2,197 with an exact column, and 4,225 per operator
     ["tabulate-standard", "--symbol", "threejm", "--j1", "6", "--j2", "6", "--j3", "6"],
     ["export-ops", "--j", "32"],
+    ["tabulate-cg", "--j1", "4", "--j2", "4", "--r=1/3,-5/7"],
+    ["tabulate-fbar", "--j1", "2", "--j2", "3/2", "--j3", "3/2", "--r=1/3"],
+    ["tabulate-standard", "--symbol", "threejm", "--j1", "2", "--j2", "3/2", "--j3", "5/2"],
+    ["export-ops", "--j", "64", "--r=1/3"],
 ]
 
 # jobs over cli.MAX_ROWS; they must never run for real, their tensors would take gigabytes
@@ -785,7 +803,7 @@ class TestStreamedWriter:
         # record each document as its command builds it, then rebuild the output the
         # way it was built before the templates: one string from json.dumps, with the
         # arrays and table blocks spelled out as lists and row dicts, or csv.writer
-        # over rows expanded one cell at a time
+        # over rows expanded one cell at a time; the other format's document is the same
         documents = []
 
         def recording(builder):
@@ -800,8 +818,10 @@ class TestStreamedWriter:
         assert run_main(*argv, "--format", fmt, "--output", str(out)) == 0
         assert run_main(*argv, "--format", fmt) == 0
         stdout = capsys.readouterr().out
-        to_file, to_stdout = documents
-        assert plain(to_file) == plain(to_stdout)
+        monkeypatch.setattr(cli, "emit", lambda chunks, path: None)
+        assert run_main(*argv, "--format", "csv" if fmt == "json" else "json") == 0
+        to_file, to_stdout, other_format = documents
+        assert plain(to_file) == plain(to_stdout) == plain(other_format)
         if fmt == "json":
             reference = json.dumps(plain(to_file), indent=2) + "\n"
         else:
@@ -819,6 +839,7 @@ class TestStreamedWriter:
         ["tabulate-cg", "--j1", "2", "--j2", "3/2", "--r=1e20,-1e20,123456789/7,-5/3"],
         ["tabulate-standard", "--symbol", "threejm", "--j1", "1", "--j2", "3/2", "--j3", "1/2"],
         ["verify", "--j-max", "1/2", "--k", "2", "--r", "0"],
+        ["export-ops", "--j", "64", "--r=1/3,-5/7"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_json_layout_is_json_dumps_indent_two(self, argv, capsys):
         assert run_main(*argv) == 0
@@ -1022,13 +1043,12 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def peak_rss_mb(*argv):
-    """Peak RSS of one fresh CLI process."""
-    out = subprocess.run([sys.executable, "-c", RSS_LAUNCHER,
-                          sys.executable, "-m", "wigner_nonstd.cli", *argv],
-                         capture_output=True, text=True, check=True, timeout=300).stdout
-    code, max_rss = map(int, out.split())
-    assert code == 0
+def peak_rss_mb(*argv, program=("-m", "wigner_nonstd.cli")):
+    """Peak RSS of one fresh Python process: a CLI job, or the program that the flags give."""
+    proc = subprocess.run([sys.executable, "-c", RSS_LAUNCHER, sys.executable, *program, *argv],
+                          capture_output=True, text=True, check=True, timeout=300)
+    code, max_rss = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     return max_rss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
@@ -1064,13 +1084,10 @@ class TestEntryPoint:
         payload = json.loads(proc.stdout)
         assert payload["rows"][0]["exact"] == "1/6"
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_closed_stdout_exits_141_quietly(self, fmt):
-        # about 1.5 MB of output: the job is still writing when the reader goes away
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "wigner_nonstd.cli", "tabulate-cg", "--j1", "4", "--j2", "4",
-             "--format", fmt],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    @pytest.mark.parametrize("argv", LARGE_OUTPUT_JOBS, ids=LARGE_OUTPUT_IDS)
+    def test_closed_stdout_exits_141_quietly(self, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "wigner_nonstd.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             assert proc.stdout.readline()
             proc.stdout.close()
@@ -1109,6 +1126,32 @@ class TestEntryPoint:
         assert capsys.readouterr().err == (
             f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, seconds", [
+        # a 2j = 128 leg contracted through the three-matmul path
+        (["tabulate-cg", "--j1", "64", "--j2", "1/2", "--r=0.37"], 60),
+        (["tabulate-fbar", "--j1", "64", "--j2", "64", "--j3", "0", "--r=-5/3"], 60),
+        # one binomial sum per triad: seconds, not minutes
+        (["tabulate-standard", "--symbol", "threejm", "--j1", "32", "--j2", "32", "--j3", "32"],
+         20),
+    ], ids=["tabulate-cg", "tabulate-fbar", "tabulate-standard"])
+    def test_jobs_at_the_advertised_limits_finish_in_time(self, argv, seconds):
+        proc = subprocess.run([sys.executable, "-m", "wigner_nonstd.cli", *argv],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              timeout=seconds)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--j-max", "2", "--k", "2-8"],
+        ["tabulate-cg", "--j1", "1", "--j2", "3/2", "--r=0,1/3", "--format", "csv"],
+    ], ids=lambda argv: argv[0])
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, argv):
+        # each run in one process has one hash seed; fresh processes under two seeds
+        outputs = [subprocess.run([sys.executable, "-m", "wigner_nonstd.cli", *argv],
+                                  capture_output=True, check=True, timeout=120,
+                                  env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                   for seed in ("1", "2")]
+        assert outputs[0] == outputs[1]
 
     def test_bad_flag_value_exits_two(self):
         proc = subprocess.run(

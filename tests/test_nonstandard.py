@@ -44,6 +44,8 @@ from wigner_nonstd.standard_wra import cg_float, threejm
 from wigner_nonstd.su2gen import SpinSpace, build_spin_ops
 from wigner_nonstd.verify import DEFAULT_TOLERANCES, VerifyConfig
 
+from test_cli import peak_rss_mb
+
 H = HalfInt
 R_GRID = [0.0, 0.37, 1.0, 2.5]
 
@@ -193,16 +195,30 @@ class TestBasisMatrix:
             a[0, 0] = 0.0
 
 
+# 1,500 values of r in a fresh process: every coupled j of j1 = j2 = 4 (13,500 CG tensors and
+# as many basis matrices) and two f-bar triads of j1 = j2 = 1 (3,000 tensors); each cache must
+# fill to its bound and stop there
+CACHE_SWEEP = """
+import sys
+from wigner_nonstd import HalfInt, SpinSpace, nonstandard
+for n in range(1500):
+    r = n / 1500
+    four, one = SpinSpace(HalfInt(8), r), SpinSpace(HalfInt(2), r)
+    for tj in range(0, 17, 2):
+        nonstandard.cg_nonstandard_tensor(four, four, SpinSpace(HalfInt(tj), r))
+    for tj in (0, 2):
+        nonstandard.fbar_tensor(one, one, SpinSpace(HalfInt(tj), r))
+for cached in (nonstandard.basis_matrix, nonstandard.cg_nonstandard_tensor,
+               nonstandard.fbar_tensor):
+    info = cached.cache_info()
+    if not info.currsize == info.maxsize == nonstandard._CACHE_SIZE:
+        sys.exit(f"{cached.__name__} {info}, bound {nonstandard._CACHE_SIZE}")
+"""
+
+
 def test_alpha_basis_caches_stay_bounded_over_an_r_sweep():
-    # 2,100 distinct r: every cache evicts at its bound instead of growing
-    for n in range(2100):
-        sp = [SpinSpace(H(t), 3.0 + n / 2100) for t in (1, 1, 2)]
-        cg_nonstandard_tensor(*sp)
-        fbar_tensor(*sp)
-    for cached in (basis_matrix, cg_nonstandard_tensor, fbar_tensor):
-        info = cached.cache_info()
-        assert info.maxsize == nonstandard._CACHE_SIZE
-        assert info.currsize == info.maxsize
+    # with unbounded caches this sweep peaked at 219 MB
+    assert peak_rss_mb(program=("-c", CACHE_SWEEP)) < 100
 
 
 class TestBasisTransforms:
@@ -400,14 +416,21 @@ def test_a_nan_in_one_panel_makes_both_residuals_nan(monkeypatch, block):
     assert math.isnan(failed[0]["residual"])
 
 
-@pytest.mark.parametrize("r", [0.0, 0.37, -5 / 3])
-def test_panel_residuals_match_the_full_products(r):
-    for tj1, tj2 in itertools.product(range(17), repeat=2):
+ALL_PAIRS_TO_16 = list(itertools.product(range(17), repeat=2))
+
+
+@pytest.mark.parametrize("r, pairs", [
+    (0.0, ALL_PAIRS_TO_16), (0.37, ALL_PAIRS_TO_16), (-5 / 3, ALL_PAIRS_TO_16),
+    (0.37, [(32, 32)]),  # n = 1089 in 23 panels
+], ids=["0.0", "0.37", "-1.6666666666666667", "2j=32"])
+def test_panel_residuals_match_the_full_products(r, pairs):
+    for tj1, tj2 in pairs:
         sp1, sp2 = SpinSpace(H(tj1), r), SpinSpace(H(tj2), r)
         report = verify_cg_orthonormality(sp1, sp2).residuals
         dense = dense_residuals(change_of_basis(sp1, sp2))
         assert report.keys() == dense.keys()
         for name, value in dense.items():
+            assert report[name] <= 1e-10, (tj1, tj2, name, report[name])
             assert abs(report[name] - value) <= 4 * EPS, (tj1, tj2, name, report[name], value)
 
 

@@ -11,7 +11,8 @@ Coefficients are cross-checked along independent routes:
   installed) guards against silent regressions of either route.
 * Whole small CG, 3-jm and 6-j tables are compared exactly with sympy's.
 * The tensors' binomial kernel against the per-entry Racah sum, square by
-  square in Fraction, and against exact sum rules at 2j = 32 (2j = 128 in CI).
+  square in Fraction, and against exact sum rules at 2j = 32 (at 2j = 128 in
+  sum_rules_2j128.py, which the default run does not collect).
 """
 
 import itertools
@@ -622,7 +623,7 @@ class TestTensors:
 
 # ---------------------------------------------------------------------------
 # The tensors' exact kernel: the binomial form against Racah's sum, and exact
-# sum rules. The rule helpers are also run at 2j = 128 by a CI step.
+# sum rules. sum_rules_2j128.py runs the rule helpers at 2j = 128.
 
 
 def cg_column_sums(tj1: int, tj2: int, tj: int) -> list[Fraction]:

@@ -3,6 +3,7 @@
 import collections
 import csv
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -228,15 +230,16 @@ def test_the_default_seed_draws_a_pinned_stream(monkeypatch):
     assert calls[fixed:fixed + len(first)] == first
 
 
-# A fresh interpreter runs one small verify job and prints the numpy.random and _hashlib
-# modules it loaded beyond those that importing numpy alone loads.
+# A fresh interpreter runs two small verify jobs and prints their exit codes and the
+# numpy.random and _hashlib modules they loaded beyond those that importing numpy alone loads.
 IMPORT_GUARD = """
 import json, sys
 import numpy
 before = set(sys.modules)
 from wigner_nonstd import cli
-code = cli.main(["verify", "--j-max", "1", "--k", "2", "--output", sys.argv[1]])
-print(json.dumps({"code": code, "loaded": sorted(
+codes = [cli.main(["verify", "--j-max", "1", "--k", k, "--output", sys.argv[1]])
+         for k in ("2", "2-4")]
+print(json.dumps({"codes": codes, "loaded": sorted(
     m for m in set(sys.modules) - before if m.startswith("numpy.random") or m == "_hashlib")}))
 """
 
@@ -244,22 +247,30 @@ print(json.dumps({"code": code, "loaded": sorted(
 def test_verify_loads_neither_numpy_random_nor_hashlib(tmp_path):
     out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "report.json")],
                          capture_output=True, text=True, check=True, timeout=120).stdout
-    assert json.loads(out) == {"code": 0, "loaded": []}
+    assert json.loads(out) == {"codes": [0, 0], "loaded": []}
 
 
 def _refuse(token):
     raise ValueError(f"{token} is not JSON")
 
 
-def test_a_failing_report_is_strict_json_with_null_for_a_nan_residual(monkeypatch, capsys):
+def test_a_failing_report_is_strict_json_with_null_for_a_nan_residual(monkeypatch, capsys,
+                                                                      tmp_path):
     argv = ["verify", "--j-max", "1", "--k", "2", "--r", "0"]
     failing = ["coupling.orthonormality_random", "recoupling.sixj"]
     _nan_at_one_random_draw_and_one_path(monkeypatch)
     assert cli.main(argv) == 1
-    report = json.loads(capsys.readouterr().out, parse_constant=_refuse)
+    text = capsys.readouterr().out
+    report = json.loads(text, parse_constant=_refuse)
     assert [c["check"] for c in report["checks"] if not c["pass"]] == failing
     assert [c["check"] for c in report["checks"] if c["residual"] is None] == failing
     assert report["failed"] == 2 and report["all_pass"] is False
+
+    # the same report written to --output
+    _nan_at_one_random_draw_and_one_path(monkeypatch)
+    out = tmp_path / "failing.json"
+    assert cli.main(argv + ["--output", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == text
 
     # CSV keeps the NaN, and the row still fails
     _nan_at_one_random_draw_and_one_path(monkeypatch)
@@ -267,6 +278,18 @@ def test_a_failing_report_is_strict_json_with_null_for_a_nan_residual(monkeypatc
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [(row["check"], row["residual"]) for row in rows if row["pass"] == "False"] == [
         (name, "nan") for name in failing]
+
+
+def test_a_seeded_report_meets_the_benchmarks_invariants(tmp_path):
+    # perfbench/checks.py hard-codes the check count of each suite; every row must pass,
+    # and no residual may exceed its default tolerance
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    report = tmp_path / "verify.json"
+    assert cli.main(["verify", "--k", "2-22", "--seed", "1", "--output", str(report)]) == 0
+    assert checks.check_verify_report(str(report), DEFAULT_TOLERANCES, r_count=4) == []
 
 
 def test_a_non_finite_float_is_written_as_json_null():
