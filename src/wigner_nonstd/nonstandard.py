@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .su2gen import (ResidualReport, SpinOperatorSet, SpinSpace, build_spin_ops,
 
 # Entries per alpha-basis cache: above every measured working set (at most 1,141 entries).
 _CACHE_SIZE = 2048
+# Bytes of alpha tensors held after their first use, until their key is asked for again: the
+# smallest FIFO with which verify --k 2-22 builds as many tensors as one LRU of every result.
+_FIRST_USE_BYTES = 4 * 2 ** 20
 # Rows per Gram panel in verify_cg_orthonormality, at most; the panels are as equal as n allows.
 # Over the 2j <= 16 sweep the check's time was flat from 32 to 64 rows. Up to n = 48 the one
 # panel is the full product, so those residuals keep their bits.
@@ -177,6 +180,67 @@ def cg_nonstandard(l1: AlphaLabel, l2: AlphaLabel, l: AlphaLabel) -> complex:
     return _direct_sum(l1, l2, l, cg_float)
 
 
+class _FirstUse(Exception):
+    """Carries a result asked for once out of the LRU, which stores no result of a raise."""
+
+
+def _cache_on_reuse(build):
+    """build(*spaces), memoized with the admission rule of the 2Q buffer cache.
+
+    Johnson and Shasha, VLDB 1994. A first result waits in a FIFO of at most
+    _FIRST_USE_BYTES, which remembers the last _CACHE_SIZE keys it dropped. A key
+    asked for again, while it waits or after it was dropped, enters an lru_cache of
+    _CACHE_SIZE entries, so a hit is one C lookup; a result used once, as at each r
+    of an r-sweep, is never held past the FIFO. cache_info() is the LRU's, so a
+    first use counts as a miss; cache_clear() also empties the FIFO and its keys.
+    """
+    waiting = {}   # key -> result, oldest first
+    dropped = {}   # keys the FIFO let go, oldest first
+    held = 0       # bytes in waiting
+
+    def admit(*key):
+        nonlocal held
+        if key in waiting:
+            result = waiting.pop(key)
+            held -= result.nbytes
+            return result
+        if key in dropped:
+            del dropped[key]
+            return build(*key)
+        result = build(*key)
+        waiting[key] = result
+        held += result.nbytes
+        while held > _FIRST_USE_BYTES:
+            # a result too large to wait alone goes at once and leaves the others waiting
+            oldest = key if result.nbytes > _FIRST_USE_BYTES else next(iter(waiting))
+            held -= waiting.pop(oldest).nbytes
+            dropped[oldest] = None
+            if len(dropped) > _CACHE_SIZE:
+                del dropped[next(iter(dropped))]
+        raise _FirstUse(result)
+
+    lru = lru_cache(maxsize=_CACHE_SIZE)(admit)
+
+    @wraps(build)
+    def cached(*spaces):
+        try:
+            return lru(*spaces)
+        except _FirstUse as first:
+            return first.args[0]
+
+    def cache_clear():
+        nonlocal held
+        lru.cache_clear()
+        waiting.clear()
+        dropped.clear()
+        held = 0
+
+    cached.cache_info = lru.cache_info
+    cached.cache_clear = cache_clear
+    cached.waiting, cached.dropped = waiting, dropped  # read by the tests
+    return cached
+
+
 def _contract_legs(core: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
     """out[x, y, z] = sum core[a, b, c] b1[a, x] b2[b, y] b3[c, z], one matmul per leg: c, b, a."""
     d1, d2, d3 = core.shape
@@ -196,7 +260,7 @@ def _alpha_tensor(core, space1: SpinSpace, space2: SpinSpace, space3: SpinSpace,
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cache_on_reuse
 def cg_nonstandard_tensor(space1: SpinSpace, space2: SpinSpace, space: SpinSpace) -> np.ndarray:
     """Array of coupling coefficients indexed [s1, s2, s]."""
     return _alpha_tensor(cg_tensor, space1, space2, space, conjugate_third=False)
@@ -232,12 +296,14 @@ def verify_cg_orthonormality(space1: SpinSpace, space2: SpinSpace) -> ResidualRe
     view of W or of one conjugate copy; a NaN anywhere makes its residual NaN.
     """
     r = _require_same_r(space1, space2)
-    d1, d2 = space1.dim, space2.dim
-    blocks = []
+    n = space1.dim * space2.dim
+    w = np.empty((n, n), dtype=complex)
+    lo = 0
     for j in coupled_j_values(space1.j, space2.j):
+        # copied in as built, so no tensor outlives its block unless a cache holds it
         tensor = cg_nonstandard_tensor(space1, space2, SpinSpace(j, r))
-        blocks.append(tensor.reshape(d1 * d2, j.twice + 1))
-    w = np.concatenate(blocks, axis=1)
+        w[:, lo:lo + j.twice + 1] = tensor.reshape(n, -1)
+        lo += j.twice + 1
     w_conj = w.conj()
     return ResidualReport({"rows_orthonormal": _identity_defect(w_conj.T, w),
                            "complete": _identity_defect(w, w_conj.T)})
@@ -257,7 +323,7 @@ def fbar(l1: AlphaLabel, l2: AlphaLabel, l3: AlphaLabel) -> complex:
                        float(threejm(j1, j2, j3, m1, m2, -m)))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cache_on_reuse
 def fbar_tensor(space1: SpinSpace, space2: SpinSpace, space3: SpinSpace) -> np.ndarray:
     """Array of the symmetric 3-symbols indexed [s1, s2, s3]."""
     return _alpha_tensor(threejm_tensor, space1, space2, space3, conjugate_third=True)

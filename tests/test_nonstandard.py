@@ -196,29 +196,108 @@ class TestBasisMatrix:
 
 
 # 1,500 values of r in a fresh process: every coupled j of j1 = j2 = 4 (13,500 CG tensors and
-# as many basis matrices) and two f-bar triads of j1 = j2 = 1 (3,000 tensors); each cache must
-# fill to its bound and stop there
+# as many basis matrices) and two f-bar triads of j1 = j2 = 1 (3,000 tensors), each tensor asked
+# for USES times in a row. The basis matrices must fill their cache to its bound and stop there;
+# the tensors must too when reused, and must leave their caches empty when used once.
 CACHE_SWEEP = """
 import sys
 from wigner_nonstd import HalfInt, SpinSpace, nonstandard
+uses = int(sys.argv[1])
 for n in range(1500):
     r = n / 1500
     four, one = SpinSpace(HalfInt(8), r), SpinSpace(HalfInt(2), r)
     for tj in range(0, 17, 2):
-        nonstandard.cg_nonstandard_tensor(four, four, SpinSpace(HalfInt(tj), r))
+        for _ in range(uses):
+            nonstandard.cg_nonstandard_tensor(four, four, SpinSpace(HalfInt(tj), r))
     for tj in (0, 2):
-        nonstandard.fbar_tensor(one, one, SpinSpace(HalfInt(tj), r))
-for cached in (nonstandard.basis_matrix, nonstandard.cg_nonstandard_tensor,
-               nonstandard.fbar_tensor):
+        for _ in range(uses):
+            nonstandard.fbar_tensor(one, one, SpinSpace(HalfInt(tj), r))
+tensor_size = nonstandard._CACHE_SIZE if uses > 1 else 0
+for cached, size in ((nonstandard.basis_matrix, nonstandard._CACHE_SIZE),
+                     (nonstandard.cg_nonstandard_tensor, tensor_size),
+                     (nonstandard.fbar_tensor, tensor_size)):
     info = cached.cache_info()
-    if not info.currsize == info.maxsize == nonstandard._CACHE_SIZE:
-        sys.exit(f"{cached.__name__} {info}, bound {nonstandard._CACHE_SIZE}")
+    if not (info.currsize == size and info.maxsize == nonstandard._CACHE_SIZE):
+        sys.exit(f"{cached.__name__} {info}, expected currsize {size}")
 """
 
 
+def test_a_single_use_r_sweep_leaves_the_tensor_caches_empty():
+    # it read 42 MB; with every first use cached, as one LRU does, it read 61 MB
+    assert peak_rss_mb("1", program=("-c", CACHE_SWEEP)) < 50
+
+
 def test_alpha_basis_caches_stay_bounded_over_an_r_sweep():
-    # with unbounded caches this sweep peaked at 219 MB
-    assert peak_rss_mb(program=("-c", CACHE_SWEEP)) < 100
+    # with unbounded caches this sweep peaked at 221 MB
+    assert peak_rss_mb("2", program=("-c", CACHE_SWEEP)) < 100
+
+
+@pytest.fixture
+def reuse_cache(monkeypatch):
+    """A fresh cache over cg_nonstandard_tensor's builder, with a FIFO of 2,000 bytes that
+    remembers 4 dropped keys; a 1 x 1 -> 2 tensor takes 720 bytes, a 2 x 2 -> 4 one 3,600."""
+    monkeypatch.setattr(nonstandard, "_FIRST_USE_BYTES", 2000)
+    monkeypatch.setattr(nonstandard, "_CACHE_SIZE", 4)
+    return nonstandard._cache_on_reuse(cg_nonstandard_tensor.__wrapped__)
+
+
+def spin_one_key(r):
+    one = SpinSpace(H(2), r)
+    return one, one, SpinSpace(H(4), r)
+
+
+class TestCacheOnReuse:
+    def test_a_first_use_waits_outside_the_lru(self, reuse_cache):
+        key = spin_one_key(0.37)
+        first = reuse_cache(*key)
+        assert reuse_cache.cache_info().currsize == 0
+        assert list(reuse_cache.waiting) == [key] and reuse_cache.waiting[key] is first
+
+    def test_an_immediate_repeat_returns_the_waiting_array_and_enters_the_lru(self, reuse_cache):
+        key = spin_one_key(0.37)
+        first = reuse_cache(*key)
+        again = reuse_cache(*key)
+        assert again is first and not again.flags.writeable
+        assert reuse_cache.cache_info().currsize == 1 and reuse_cache.waiting == {}
+        assert reuse_cache(*key) is first
+        assert reuse_cache.cache_info().hits == 1
+
+    def test_a_repeat_after_the_fifo_dropped_the_key_rebuilds_the_same_bits(self, reuse_cache):
+        key = spin_one_key(0.37)
+        first = reuse_cache(*key)
+        for r in (0.1, 0.2):  # three tensors of 720 bytes overflow the 2,000-byte FIFO
+            reuse_cache(*spin_one_key(r))
+        assert key not in reuse_cache.waiting and key in reuse_cache.dropped
+        again = reuse_cache(*key)
+        assert again is not first and again.tobytes() == first.tobytes()
+        assert not again.flags.writeable
+        assert reuse_cache.cache_info().currsize == 1 and key not in reuse_cache.dropped
+        assert reuse_cache(*key) is again
+
+    def test_the_fifo_and_its_dropped_keys_stay_within_their_caps(self, reuse_cache):
+        two = SpinSpace(H(4), 0.37)
+        keys = [spin_one_key(n / 10) for n in range(10)] + [(two, two, SpinSpace(H(8), 0.37))]
+        for key in keys:
+            reuse_cache(*key)
+            assert sum(t.nbytes for t in reuse_cache.waiting.values()) <= 2000
+            assert len(reuse_cache.dropped) <= 4
+        # the 3,600-byte tensor never waits; the oldest dropped keys are forgotten
+        assert list(reuse_cache.waiting) == keys[8:10]
+        assert list(reuse_cache.dropped) == keys[5:8] + keys[10:]
+        reuse_cache(*keys[0])
+        assert reuse_cache.cache_info().currsize == 0
+
+    def test_cache_clear_empties_the_fifo_the_dropped_keys_and_the_lru(self, reuse_cache):
+        for r in (0.0, 0.1, 0.2, 0.3, 0.0):
+            reuse_cache(*spin_one_key(r))
+        assert reuse_cache.cache_info().currsize == 1
+        assert reuse_cache.waiting and reuse_cache.dropped
+        reuse_cache.cache_clear()
+        assert reuse_cache.cache_info().currsize == 0
+        assert reuse_cache.waiting == {} and reuse_cache.dropped == {}
+        key = spin_one_key(0.0)
+        reuse_cache(*key)
+        assert list(reuse_cache.waiting) == [key] and reuse_cache.cache_info().currsize == 0
 
 
 class TestBasisTransforms:

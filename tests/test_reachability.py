@@ -30,6 +30,10 @@ NOT_ENTERED = {
     "su2gen.ResidualReport.__str__",
     # runs once per suite at import, as its decorator
     "verify._suite",
+    # runs once per alpha tensor at import, as its decorator
+    "nonstandard._cache_on_reuse",
+    # called before the jobs start, to empty the caches
+    "nonstandard._cache_on_reuse.cache_clear",
     # read by the benchmark's sweep
     "su2gen.ResidualReport.worst",
 }
