@@ -23,10 +23,11 @@ matrix is the only array the JSON writer takes) is written row by row, with
 its zero pair's text made once. JSON is byte for byte what json.dump with a
 two-space indent writes, except that a non-finite float (a failing verify
 residual) is null, and CSV what csv.writer writes. A job is refused (bad or
-missing flags, non-finite values, over MAX_ROWS rows) before any byte is
-written: a block refuses a non-finite value when it is made. A config
-file in key = value form may set any subcommand's long flags; each reads its
-own, other keys are refused, and explicit flags win.
+missing flags, non-finite values, over MAX_ROWS rows, an --r at which an
+alpha label overflows) before any byte is written: a block refuses a
+non-finite value when it is made. A config file in key = value form may
+set any subcommand's long flags; each reads its own, other keys are
+refused, and explicit flags win.
 Exit status: 0 success, 1 verification failure, 2 bad arguments, 74 a failed
 write to stdout or --output (EX_IOERR), 141 stdout or an --output FIFO closed
 by its reader before the output was written (128 + SIGPIPE).
@@ -210,6 +211,13 @@ def _check_rows(job: str, rows: int) -> None:
         raise ConfigError(f"{job} would write {rows:,} rows, over the row cap of {MAX_ROWS:,}")
 
 
+def _check_alphas(j: HalfInt, r_values: tuple[float, ...]) -> None:
+    """Refuse an r at which an alpha label -j r + s of spin j, the job's largest, overflows."""
+    for r in r_values:
+        if not all(math.isfinite(label.alpha) for label in alpha_labels(SpinSpace(j, r))):
+            raise ConfigError(f"--r: r = {r!r} makes the alpha labels of j = {j} overflow")
+
+
 def _build_table(config: JobConfig) -> dict:
     """The table as a document whose rows are its blocks; each writer expands them in C order."""
     j1, j2, j3, r_values = config.j1, config.j2, config.j3, config.r_values
@@ -218,6 +226,7 @@ def _build_table(config: JobConfig) -> dict:
             raise ConfigError("tabulate-cg needs --j1 and --j2")
         _check_rows(f"tabulate-cg --j1 {j1} --j2 {j2} --r (n = {len(r_values)})",
                     len(r_values) * (j1.twice + 1) ** 2 * (j2.twice + 1) ** 2)
+        _check_alphas(j1 + j2, r_values)
         blocks = []
         for j in coupled_j_values(j1, j2):
             for r in sorted(r_values):
@@ -233,6 +242,7 @@ def _build_table(config: JobConfig) -> dict:
             raise ConfigError("tabulate-fbar needs --j1, --j2 and --j3")
         _check_rows(f"tabulate-fbar --j1 {j1} --j2 {j2} --j3 {j3} --r (n = {len(r_values)})",
                     len(r_values) * (j1.twice + 1) * (j2.twice + 1) * (j3.twice + 1))
+        _check_alphas(max(j1, j2, j3, key=float), r_values)
         blocks = []
         for r in sorted(r_values):
             spaces = (SpinSpace(j1, r), SpinSpace(j2, r), SpinSpace(j3, r))
@@ -281,13 +291,13 @@ def _export_ops_payload(config: JobConfig) -> dict:
         raise ConfigError("export-ops needs --j")
     n_r = len(config.r_values)
     _check_rows(f"export-ops --j {config.j} --r (n = {n_r})", n_r * 6 * (config.j.twice + 1) ** 2)
+    _check_alphas(config.j, config.r_values)
     exports = []
     for r in config.r_values:
         space = SpinSpace(config.j, r)
         ops = build_spin_ops(space)
         operators = {"h": ops.h, "u_r": ops.u_r, "j_plus": ops.j_plus,
-                     "j_minus": ops.j_minus, "j3": ops.j3,
-                     "j_squared": np.asarray(ops.j_squared)}
+                     "j_minus": ops.j_minus, "j3": ops.j3, "j_squared": ops.j_squared}
         for name, entries in operators.items():
             if not np.isfinite(entries).all():
                 raise ValueError(f"export-ops --j {config.j} --r {r!r}: "

@@ -136,7 +136,7 @@ def verify_eigenbasis(space: SpinSpace) -> ResidualReport:
     eye = np.eye(space.dim)
     jf = float(space.j)
     u_defect = ops.u_r @ m - m @ lam
-    c_defect = np.asarray(ops.j_squared) @ m - jf * (jf + 1.0) * m
+    c_defect = ops.j_squared @ m - jf * (jf + 1.0) * m
     res = {
         "overlap_unitary": float(np.max(np.abs(m.conj().T @ m - eye))),
         "u_eigen": float(np.max(np.linalg.norm(u_defect, axis=0))),

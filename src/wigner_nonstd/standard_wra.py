@@ -14,15 +14,14 @@ kernel per triad (j1, j2, j), _cg_triad_squares. The kernel writes each
 square with binomials in place of factorials (L. Wei, Comput. Phys.
 Commun. 120 (1999) 222): the triad's binomial rows are built once, and
 each row of entries is one integer convolution of them. The per-entry
-functions (cg, threejm, cg_float) keep Racah's factorial sum and are the
-kernel's oracle, so the two are independent formulas. MAX_FACTORIAL_ARG
-bounds both: a triad whose cg would need a factorial past it raises the
-same error from the tensors. Nothing here is memoized: every call computes
-its value afresh. Each tensor entry is rounded once, as
-sign * sqrt(num / den) with num / den the entry's exact square in integers;
-Python's int / int is correctly rounded, as Fraction.__float__ is, so the
-tensors equal the per-entry floats bit for bit. symbol_table holds each
-nonzero square as a Fraction only to print it.
+functions (cg, threejm, cg_float) keep Racah's factorial sum, with
+math.factorial, and are the kernel's oracle, so the two are independent
+formulas and neither has a size bound of its own. Nothing here is
+memoized: every call computes its value afresh. Each tensor entry is
+rounded once, as sign * sqrt(num / den) with num / den the entry's exact
+square in integers; Python's int / int is correctly rounded, as
+Fraction.__float__ is, so the tensors equal the per-entry floats bit for
+bit. symbol_table holds each nonzero square as a Fraction only to print it.
 """
 
 from __future__ import annotations
@@ -34,25 +33,6 @@ from fractions import Fraction
 import numpy as np
 
 from .halfint import HalfInt
-
-# Factorial table, grown on demand up to a configurable bound. The default
-# comfortably covers sums like j1+j2+j3+1 for 2j <= 200.
-MAX_FACTORIAL_ARG = 402
-_FACTORIALS: list[int] = [1]
-
-
-def _fact(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial of negative argument {n}")
-    if n > MAX_FACTORIAL_ARG:
-        raise ValueError(
-            f"factorial argument {n} exceeds MAX_FACTORIAL_ARG={MAX_FACTORIAL_ARG}; "
-            "raise wigner_nonstd.standard_wra.MAX_FACTORIAL_ARG to extend the table"
-        )
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[n]
-
 
 def _sqrt_of_square(f: Fraction):
     """Exact square root of a non-negative Fraction, or None if not a square."""
@@ -186,11 +166,11 @@ def cg(j1: HalfInt, j2: HalfInt, m1: HalfInt, m2: HalfInt, j: HalfInt, m: HalfIn
     j2p_m2 = _as_int(tj2 + tm2)
 
     prefactor = Fraction(
-        (tj + 1) * _fact(a) * _fact(b) * _fact(c)
-        * _fact(jp_m) * _fact(jm_m)
-        * _fact(j1m_m1) * _fact(j1p_m1)
-        * _fact(j2m_m2) * _fact(j2p_m2),
-        _fact(_as_int(tj1 + tj2 + tj) + 1),
+        (tj + 1) * math.factorial(a) * math.factorial(b) * math.factorial(c)
+        * math.factorial(jp_m) * math.factorial(jm_m)
+        * math.factorial(j1m_m1) * math.factorial(j1p_m1)
+        * math.factorial(j2m_m2) * math.factorial(j2p_m2),
+        math.factorial(_as_int(tj1 + tj2 + tj) + 1),
     )
 
     k_lo = max(0, _as_int(tj2 - tj - tm1), _as_int(tj1 - tj + tm2))
@@ -198,12 +178,12 @@ def cg(j1: HalfInt, j2: HalfInt, m1: HalfInt, m2: HalfInt, j: HalfInt, m: HalfIn
     total = Fraction(0)
     for k in range(k_lo, k_hi + 1):
         denom = (
-            _fact(k)
-            * _fact(a - k)
-            * _fact(j1m_m1 - k)
-            * _fact(j2p_m2 - k)
-            * _fact(_as_int(tj - tj2 + tm1) + k)
-            * _fact(_as_int(tj - tj1 - tm2) + k)
+            math.factorial(k)
+            * math.factorial(a - k)
+            * math.factorial(j1m_m1 - k)
+            * math.factorial(j2p_m2 - k)
+            * math.factorial(_as_int(tj - tj2 + tm1) + k)
+            * math.factorial(_as_int(tj - tj1 - tm2) + k)
         )
         term = Fraction((-1) ** k, denom)
         total += term
@@ -223,8 +203,9 @@ def threejm(j1: HalfInt, j2: HalfInt, j3: HalfInt,
 def _triangle_coeff_squared(ta: int, tb: int, tc: int) -> Fraction:
     """Square of the triangle coefficient Delta(a b c)."""
     return Fraction(
-        _fact(_as_int(ta + tb - tc)) * _fact(_as_int(ta - tb + tc)) * _fact(_as_int(-ta + tb + tc)),
-        _fact(_as_int(ta + tb + tc) + 1),
+        math.factorial(_as_int(ta + tb - tc)) * math.factorial(_as_int(ta - tb + tc))
+        * math.factorial(_as_int(-ta + tb + tc)),
+        math.factorial(_as_int(ta + tb + tc) + 1),
     )
 
 
@@ -264,10 +245,11 @@ def sixj(j1: HalfInt, j2: HalfInt, j3: HalfInt,
     total = Fraction(0)
     for t in range(max(a1, a2, a3, a4), min(b1, b2, b3) + 1):
         denom = (
-            _fact(t - a1) * _fact(t - a2) * _fact(t - a3) * _fact(t - a4)
-            * _fact(b1 - t) * _fact(b2 - t) * _fact(b3 - t)
+            math.factorial(t - a1) * math.factorial(t - a2)
+            * math.factorial(t - a3) * math.factorial(t - a4)
+            * math.factorial(b1 - t) * math.factorial(b2 - t) * math.factorial(b3 - t)
         )
-        total += Fraction((-1) ** t * _fact(t + 1), denom)
+        total += Fraction((-1) ** t * math.factorial(t + 1), denom)
     return ExactSqrtRational.from_rational_times_sqrt(total, radicand)
 
 
@@ -301,9 +283,6 @@ def _cg_triad_squares(tj1: int, tj2: int, tj: int):
     if not _triads_ok((tj1, tj2, tj)):
         return
     a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2, (-tj1 + tj2 + tj) // 2
-    # cg needs (J+1)!, so the tensors keep its bound: this one call raises the
-    # same MAX_FACTORIAL_ARG error for the same triads.
-    _fact(a + b + c + 1)
     comb = math.comb
     signed_a = [-comb(a, k) if k % 2 else comb(a, k) for k in range(a + 1)]
     row_b, row_c, row_1, row_2, row_j = (

@@ -166,7 +166,7 @@ def casimir_identities(ops: SpinOperatorSet) -> ResidualReport:
     h2 = h @ h
     form_a = h2 + j3 @ j3 - j3
     form_b = u.conj().T @ h2 @ u + j3 @ j3 + j3
-    j_sq = np.asarray(ops.j_squared)
+    j_sq = ops.j_squared
     target = jf * (jf + 1.0) * np.eye(ops.space.dim)
     res = {
         "polar_forms_agree": float(np.max(np.abs(form_a - form_b))),

@@ -45,6 +45,7 @@ from .su2gen import (
     casimir_identities,
     quon_restriction_report,
     verify_su2,
+    winding_turns,
 )
 from .nonstandard import (
     alpha_labels,
@@ -156,7 +157,7 @@ def quon_suite(config: VerifyConfig) -> _Residuals:
             name = "quon.nilpotency" if key.endswith("nilpotent") else "quon.relations"
             yield name, {"k": k}, value
         for r in config.r_values:
-            turns = Fraction(r) * (k - 1) / 2
+            turns = Fraction(*winding_turns(HalfInt(k - 1), r))
             yield "quon.cyclicity", {"k": k, "r": r}, cyclicity_residual(rep, turns)
         if k <= W_INFINITY_K_MAX:
             yield "quon.w_infinity", {"k": k}, w_algebra_residual(rep, 0.0)

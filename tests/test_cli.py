@@ -978,6 +978,29 @@ class TestStreamedWriter:
         assert run_main(*argv, "--format", "csv", "--output", str(tmp_path / "t.csv")) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, r, j", [
+        (["tabulate-cg", "--j1", "64", "--j2", "0", "--format", "csv"], 1e307, "64"),
+        (["tabulate-cg", "--j1", "64", "--j2", "1"], 2.79e306, "65"),
+        (["tabulate-fbar", "--j1", "1", "--j2", "64", "--j3", "63"], 1e307, "64"),
+        (["export-ops", "--j", "64"], 1e307, "64"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+    def test_overflowing_alpha_label_exits_two_before_any_work(self, argv, r, j, capsys,
+                                                               monkeypatch):
+        # r = 0 comes first, so a late refusal would have built its tensors or operators
+        for name in ("cg_nonstandard_tensor", "fbar_tensor", "build_spin_ops"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert run_main(*argv, f"--r=0,{r!r}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --r: r = {r!r} makes the alpha labels of j = {j} overflow" in captured.err
+
+    def test_largest_finite_alpha_labels_are_written(self, capsys):
+        # 64 * 2.8e306 is below the largest float, so every label is finite and printed
+        payload = run_json(capsys, "export-ops", "--j", "64", "--r=2.8e306")
+        alphas = payload["exports"][0]["alpha"]
+        assert len(alphas) == 129 and all(math.isfinite(alpha) for alpha in alphas)
+        assert alphas[0] == -(64 * 2.8e306)
+
     def test_row_cap_admits_the_baseline_jobs(self, capsys, monkeypatch):
         # rows are counted from the blocks that would be written, not formatted
         build_table = cli._build_table

@@ -25,11 +25,9 @@ import pytest
 
 from wigner_nonstd.halfint import HalfInt, m_values, triangle
 from wigner_nonstd.standard_wra import (
-    MAX_FACTORIAL_ARG,
     ExactSqrtRational,
     RadicalSum,
     _cg_triad_squares,
-    _fact,
     cg,
     cg_float,
     cg_tensor,
@@ -147,19 +145,6 @@ class TestRadicalSum:
         assert not s.is_zero()
         s.add_term(Fraction(3), Fraction(1))
         assert s.is_zero()
-
-
-class TestFactorialTable:
-    def test_values(self):
-        assert _fact(0) == 1
-        assert _fact(5) == 120
-        assert _fact(20) == math.factorial(20)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            _fact(-1)
-        with pytest.raises(ValueError):
-            _fact(MAX_FACTORIAL_ARG + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +595,19 @@ class TestTensors:
             expected = np.array([float(value) for value in values])
             assert tensor.ravel().tobytes() == expected.tobytes()
 
-    def test_factorial_guard_raises_once_per_triad(self):
-        # (j1+j2+j)+1 = 403 > MAX_FACTORIAL_ARG = 402
-        triad = (H(268), H(268), H(268))
-        with pytest.raises(ValueError) as cg_error:
-            cg_tensor(*triad)
-        with pytest.raises(ValueError) as threejm_error:
-            threejm_tensor(*triad)
-        assert str(cg_error.value) == str(threejm_error.value)
-        assert f"factorial argument {MAX_FACTORIAL_ARG + 1} exceeds" in str(cg_error.value)
+    def test_no_factorial_bound_past_2j_400(self):
+        # cg needs (j1+j2+j+1)! = 403! and the 6-j (a+b+c+1)! = 451!: neither route is bounded
+        j1, j2, j = H(400), H(2), H(402)
+        tensor = cg_tensor(j1, j2, j)
+        # a stretched triad: every (m1, m2) has its nonzero entry at m = m1+m2, index i1+i2
+        pairs = list(itertools.product(enumerate(m_values(j1)), enumerate(m_values(j2))))
+        assert np.count_nonzero(tensor) == len(pairs) == 1203
+        got = np.array([tensor[i1, i2, i1 + i2] for (i1, _), (i2, _) in pairs])
+        expected = np.array([float(cg(j1, j2, m1, m2, j, m1 + m2)) for (_, m1), (_, m2) in pairs])
+        assert got.tobytes() == expected.tobytes()
+        # {a b c; 0 c b} = (-1)^(a+b+c)/sqrt((2b+1)(2c+1)), here with a = b = c = 150
+        a = H(300)
+        assert sixj(a, a, a, H(0), a, a) == ExactSqrtRational(1, Fraction(1, 301 ** 2))
 
 
 # ---------------------------------------------------------------------------

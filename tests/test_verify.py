@@ -75,6 +75,21 @@ def test_suites_run_in_order_on_the_calling_thread(monkeypatch):
     assert [c["check"] for c in results] == ["a.check", "b.check", "c.check"]
 
 
+def test_quon_cyclicity_takes_the_winding_of_the_diagonal_multiplet(monkeypatch):
+    # the residual compares U_r^k with e^(i phi_r) for whatever turns it is given, so the row
+    # cannot see a wrong winding; this pins phi_r/(2 pi) = j r at j = (k-1)/2
+    seen = []
+
+    def recording(rep, turns):
+        seen.append((rep.k, turns))
+        return 0.0
+
+    monkeypatch.setattr(verify, "cyclicity_residual", recording)
+    r_values = (0.37, -5 / 3, 1e12)
+    verify.quon_suite(VerifyConfig(r_values=r_values, k_values=(2, 3, 8)))
+    assert seen == [(k, Fraction(r) * (k - 1) / 2) for k in (2, 3, 8) for r in r_values]
+
+
 def test_every_row_carries_its_default_tolerance():
     results = run_suites(VerifyConfig(k_values=tuple(range(2, 23))))
     for c in results:
