@@ -17,7 +17,7 @@ from the exact j*r of su2gen.winding_turns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 
@@ -31,8 +31,9 @@ from .su2gen import (ResidualReport, SpinOperatorSet, SpinSpace, build_spin_ops,
 
 # Entries per alpha-basis cache: above every measured working set (at most 1,141 entries).
 _CACHE_SIZE = 2048
-# Bytes of alpha tensors held after their first use, until their key is asked for again: the
-# smallest FIFO with which verify --k 2-22 builds as many tensors as one LRU of every result.
+# Bytes of first results that the three alpha-basis caches hold together, until their key is
+# asked for again: the smallest FIFO with which verify --k 2-22 builds as many tensors as one
+# LRU of every result.
 _FIRST_USE_BYTES = 4 * 2 ** 20
 # Rows per Gram panel in verify_cg_orthonormality, at most; the panels are as equal as n allows.
 # Over the 2j <= 16 sweep the check's time was flat from 32 to 64 rows. Up to n = 48 the one
@@ -106,7 +107,87 @@ def overlap(space: SpinSpace, m: HalfInt, label: AlphaLabel) -> complex:
     return unit_phase(turns, 2 * dim) * (1.0 / math.sqrt(dim))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+class _FirstUse(Exception):
+    """Carries a result asked for once out of the LRU, which stores no result of a raise."""
+
+
+@dataclass(eq=False)
+class _FirstUses:
+    """The one FIFO in which the first results of every alpha-basis cache wait.
+
+    It holds at most max_bytes of results over all the caches, and remembers the
+    last max_dropped keys it let go. A key is (build, args), so the caches share
+    the budget but never each other's results.
+    """
+
+    max_bytes: int = _FIRST_USE_BYTES
+    max_dropped: int = _CACHE_SIZE
+    waiting: dict = field(default_factory=dict)  # key -> result, oldest first
+    dropped: dict = field(default_factory=dict)  # keys let go, oldest first
+    held: int = 0                                # bytes in waiting
+
+    def admit(self, build, args):
+        """build(*args) at an LRU miss: returned if its key was seen before, else raised
+        in a _FirstUse once it waits."""
+        key = build, args
+        if key in self.waiting:
+            result = self.waiting.pop(key)
+            self.held -= result.nbytes
+            return result
+        if key in self.dropped:
+            del self.dropped[key]
+            return build(*args)
+        result = build(*args)
+        self.waiting[key] = result
+        self.held += result.nbytes
+        while self.held > self.max_bytes:
+            # a result too large to wait alone goes at once and leaves the others waiting
+            oldest = key if result.nbytes > self.max_bytes else next(iter(self.waiting))
+            self.held -= self.waiting.pop(oldest).nbytes
+            self.dropped[oldest] = None
+            if len(self.dropped) > self.max_dropped:
+                del self.dropped[next(iter(self.dropped))]
+        raise _FirstUse(result)
+
+
+_FIRST_USES = _FirstUses()
+
+
+def _cache_on_reuse(build, first_uses: _FirstUses = _FIRST_USES):
+    """build(*spaces), memoized with the admission rule of the 2Q buffer cache.
+
+    Johnson and Shasha, VLDB 1994. A first result waits in first_uses, the FIFO
+    that all three alpha-basis caches share. A key asked for again, while it waits
+    or after it was dropped, enters this cache's lru_cache of _CACHE_SIZE entries,
+    so a hit is one C lookup; a result used once, as at each r of an r-sweep, is
+    never held past the FIFO. cache_info() is the LRU's, so a first use counts as
+    a miss; cache_clear() also takes this cache's results and keys out of the FIFO.
+    """
+    def admit(*spaces):
+        return first_uses.admit(build, spaces)
+
+    lru = lru_cache(maxsize=_CACHE_SIZE)(admit)
+
+    @wraps(build)
+    def cached(*spaces):
+        try:
+            return lru(*spaces)
+        except _FirstUse as first:
+            return first.args[0]
+
+    def cache_clear():
+        lru.cache_clear()
+        for key in [key for key in first_uses.waiting if key[0] is build]:
+            first_uses.held -= first_uses.waiting.pop(key).nbytes
+        for key in [key for key in first_uses.dropped if key[0] is build]:
+            del first_uses.dropped[key]
+
+    cached.cache_info = lru.cache_info
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_cache_on_reuse
 def basis_matrix(space: SpinSpace) -> np.ndarray:
     """Unitary M with M[m_index, s] = <j m | j alpha_s; r>, each entry as overlap.
 
@@ -180,67 +261,6 @@ def cg_nonstandard(l1: AlphaLabel, l2: AlphaLabel, l: AlphaLabel) -> complex:
     return _direct_sum(l1, l2, l, cg_float)
 
 
-class _FirstUse(Exception):
-    """Carries a result asked for once out of the LRU, which stores no result of a raise."""
-
-
-def _cache_on_reuse(build):
-    """build(*spaces), memoized with the admission rule of the 2Q buffer cache.
-
-    Johnson and Shasha, VLDB 1994. A first result waits in a FIFO of at most
-    _FIRST_USE_BYTES, which remembers the last _CACHE_SIZE keys it dropped. A key
-    asked for again, while it waits or after it was dropped, enters an lru_cache of
-    _CACHE_SIZE entries, so a hit is one C lookup; a result used once, as at each r
-    of an r-sweep, is never held past the FIFO. cache_info() is the LRU's, so a
-    first use counts as a miss; cache_clear() also empties the FIFO and its keys.
-    """
-    waiting = {}   # key -> result, oldest first
-    dropped = {}   # keys the FIFO let go, oldest first
-    held = 0       # bytes in waiting
-
-    def admit(*key):
-        nonlocal held
-        if key in waiting:
-            result = waiting.pop(key)
-            held -= result.nbytes
-            return result
-        if key in dropped:
-            del dropped[key]
-            return build(*key)
-        result = build(*key)
-        waiting[key] = result
-        held += result.nbytes
-        while held > _FIRST_USE_BYTES:
-            # a result too large to wait alone goes at once and leaves the others waiting
-            oldest = key if result.nbytes > _FIRST_USE_BYTES else next(iter(waiting))
-            held -= waiting.pop(oldest).nbytes
-            dropped[oldest] = None
-            if len(dropped) > _CACHE_SIZE:
-                del dropped[next(iter(dropped))]
-        raise _FirstUse(result)
-
-    lru = lru_cache(maxsize=_CACHE_SIZE)(admit)
-
-    @wraps(build)
-    def cached(*spaces):
-        try:
-            return lru(*spaces)
-        except _FirstUse as first:
-            return first.args[0]
-
-    def cache_clear():
-        nonlocal held
-        lru.cache_clear()
-        waiting.clear()
-        dropped.clear()
-        held = 0
-
-    cached.cache_info = lru.cache_info
-    cached.cache_clear = cache_clear
-    cached.waiting, cached.dropped = waiting, dropped  # read by the tests
-    return cached
-
-
 def _contract_legs(core: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
     """out[x, y, z] = sum core[a, b, c] b1[a, x] b2[b, y] b3[c, z], one matmul per leg: c, b, a."""
     d1, d2, d3 = core.shape
@@ -266,19 +286,20 @@ def cg_nonstandard_tensor(space1: SpinSpace, space2: SpinSpace, space: SpinSpace
     return _alpha_tensor(cg_tensor, space1, space2, space, conjugate_third=False)
 
 
-def _identity_defect(left: np.ndarray, right: np.ndarray) -> float:
+def _identity_defect(left_rows, right: np.ndarray) -> float:
     """max |left @ right - 1| of a Hermitian n x n product, from its upper row panels only.
 
-    Panel [lo, hi) is rows lo..hi-1 of the product from column lo on, one matmul of
-    views; its own leading diagonal lies on the product's. The lower triangle is the
-    conjugate of the upper, so no n x n product is formed. A NaN in any panel wins.
+    Panel [lo, hi) is rows lo..hi-1 of the product from column lo on: left_rows(lo, hi),
+    rows lo..hi-1 of the left factor at most _GRAM_PANEL_ROWS long, times a view of right.
+    Its own leading diagonal lies on the product's. The lower triangle is the conjugate
+    of the upper, so no n x n product is formed. A NaN in any panel wins.
     """
-    n = left.shape[0]
+    n = right.shape[0]
     count = -(-n // _GRAM_PANEL_ROWS)
     edges = [n * k // count for k in range(count + 1)]
     worst = []
     for lo, hi in zip(edges, edges[1:]):
-        panel = left[lo:hi] @ right[:, lo:]
+        panel = left_rows(lo, hi) @ right[:, lo:]
         diagonal = np.arange(hi - lo)
         panel[diagonal, diagonal] -= 1.0
         worst.append(np.max(np.abs(panel)))
@@ -292,8 +313,10 @@ def verify_cg_orthonormality(space1: SpinSpace, space2: SpinSpace) -> ResidualRe
     matrix W[(s1 s2), (j s)]; the relations are W^dag W = 1 (rows) and
     W W^dag = 1 (completeness). Each residual is max |G - 1| over the upper
     row panels of its Hermitian Gram G, at most _GRAM_PANEL_ROWS rows each:
-    W[:, lo:hi]^dag W[:, lo:] and W[lo:hi] W[lo:]^dag. Every operand is a
-    view of W or of one conjugate copy; a NaN anywhere makes its residual NaN.
+    W[:, lo:hi]^dag W[:, lo:] and W[lo:hi] W[lo:]^dag. W is the one n x n
+    array: each rows panel conjugates its own slice of columns, W is then
+    conjugated in place, and each completeness panel conjugates its own
+    slice of rows back. A NaN anywhere makes its residual NaN.
     """
     r = _require_same_r(space1, space2)
     n = space1.dim * space2.dim
@@ -304,9 +327,10 @@ def verify_cg_orthonormality(space1: SpinSpace, space2: SpinSpace) -> ResidualRe
         tensor = cg_nonstandard_tensor(space1, space2, SpinSpace(j, r))
         w[:, lo:lo + j.twice + 1] = tensor.reshape(n, -1)
         lo += j.twice + 1
-    w_conj = w.conj()
-    return ResidualReport({"rows_orthonormal": _identity_defect(w_conj.T, w),
-                           "complete": _identity_defect(w, w_conj.T)})
+    rows = _identity_defect(lambda lo, hi: w[:, lo:hi].conj().T, w)
+    np.conjugate(w, out=w)
+    complete = _identity_defect(lambda lo, hi: w[lo:hi].conj(), w.T)
+    return ResidualReport({"rows_orthonormal": rows, "complete": complete})
 
 
 def fbar(l1: AlphaLabel, l2: AlphaLabel, l3: AlphaLabel) -> complex:

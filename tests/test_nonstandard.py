@@ -197,8 +197,9 @@ class TestBasisMatrix:
 
 # 1,500 values of r in a fresh process: every coupled j of j1 = j2 = 4 (13,500 CG tensors and
 # as many basis matrices) and two f-bar triads of j1 = j2 = 1 (3,000 tensors), each tensor asked
-# for USES times in a row. The basis matrices must fill their cache to its bound and stop there;
-# the tensors must too when reused, and must leave their caches empty when used once.
+# for USES times in a row. The basis matrices reused at each r (2j = 8, 2, 0) must fill their
+# cache to its bound and stop there; the tensors must too when reused, and must leave their
+# caches empty when used once.
 CACHE_SWEEP = """
 import sys
 from wigner_nonstd import HalfInt, SpinSpace, nonstandard
@@ -223,22 +224,34 @@ for cached, size in ((nonstandard.basis_matrix, nonstandard._CACHE_SIZE),
 
 
 def test_a_single_use_r_sweep_leaves_the_tensor_caches_empty():
-    # it read 42 MB; with every first use cached, as one LRU does, it read 61 MB
-    assert peak_rss_mb("1", program=("-c", CACHE_SWEEP)) < 50
+    # it reads 37 MB; with a FIFO per tensor cache and every basis matrix in its LRU it read
+    # 42 MB, and with every first use cached, as one LRU does, 61 MB
+    assert peak_rss_mb("1", program=("-c", CACHE_SWEEP)) < 42
 
 
 def test_alpha_basis_caches_stay_bounded_over_an_r_sweep():
-    # with unbounded caches this sweep peaked at 221 MB
+    # it reads 65 MB, the full LRUs and the 4 MiB of first uses that wait beside them; with
+    # unbounded caches this sweep peaked at 221 MB
     assert peak_rss_mb("2", program=("-c", CACHE_SWEEP)) < 100
 
 
 @pytest.fixture
-def reuse_cache(monkeypatch):
-    """A fresh cache over cg_nonstandard_tensor's builder, with a FIFO of 2,000 bytes that
-    remembers 4 dropped keys; a 1 x 1 -> 2 tensor takes 720 bytes, a 2 x 2 -> 4 one 3,600."""
-    monkeypatch.setattr(nonstandard, "_FIRST_USE_BYTES", 2000)
+def budget(monkeypatch):
+    """A first-use FIFO of 2,000 bytes that remembers 4 dropped keys, and LRUs of 4 entries
+    for the caches made over it. A 1 x 1 -> 2 tensor takes 720 bytes, a 2 x 2 -> 4 one 3,600."""
     monkeypatch.setattr(nonstandard, "_CACHE_SIZE", 4)
-    return nonstandard._cache_on_reuse(cg_nonstandard_tensor.__wrapped__)
+    return nonstandard._FirstUses(max_bytes=2000, max_dropped=4)
+
+
+CG_BUILD = cg_nonstandard_tensor.__wrapped__
+FBAR_BUILD = fbar_tensor.__wrapped__
+BASIS_BUILD = basis_matrix.__wrapped__
+
+
+@pytest.fixture
+def reuse_cache(budget):
+    """A fresh cache over cg_nonstandard_tensor's builder, whose first uses wait in budget."""
+    return nonstandard._cache_on_reuse(CG_BUILD, budget)
 
 
 def spin_one_key(r):
@@ -247,57 +260,142 @@ def spin_one_key(r):
 
 
 class TestCacheOnReuse:
-    def test_a_first_use_waits_outside_the_lru(self, reuse_cache):
+    def test_a_first_use_waits_outside_the_lru(self, reuse_cache, budget):
         key = spin_one_key(0.37)
         first = reuse_cache(*key)
         assert reuse_cache.cache_info().currsize == 0
-        assert list(reuse_cache.waiting) == [key] and reuse_cache.waiting[key] is first
+        assert list(budget.waiting) == [(CG_BUILD, key)]
+        assert budget.waiting[CG_BUILD, key] is first and budget.held == first.nbytes
 
-    def test_an_immediate_repeat_returns_the_waiting_array_and_enters_the_lru(self, reuse_cache):
+    def test_an_immediate_repeat_returns_the_waiting_array_and_enters_the_lru(self, reuse_cache,
+                                                                               budget):
         key = spin_one_key(0.37)
         first = reuse_cache(*key)
         again = reuse_cache(*key)
         assert again is first and not again.flags.writeable
-        assert reuse_cache.cache_info().currsize == 1 and reuse_cache.waiting == {}
+        assert reuse_cache.cache_info().currsize == 1 and budget.waiting == {}
+        assert budget.held == 0
         assert reuse_cache(*key) is first
         assert reuse_cache.cache_info().hits == 1
 
-    def test_a_repeat_after_the_fifo_dropped_the_key_rebuilds_the_same_bits(self, reuse_cache):
+    def test_a_repeat_after_the_fifo_dropped_the_key_rebuilds_the_same_bits(self, reuse_cache,
+                                                                            budget):
         key = spin_one_key(0.37)
         first = reuse_cache(*key)
         for r in (0.1, 0.2):  # three tensors of 720 bytes overflow the 2,000-byte FIFO
             reuse_cache(*spin_one_key(r))
-        assert key not in reuse_cache.waiting and key in reuse_cache.dropped
+        assert (CG_BUILD, key) not in budget.waiting and (CG_BUILD, key) in budget.dropped
         again = reuse_cache(*key)
         assert again is not first and again.tobytes() == first.tobytes()
         assert not again.flags.writeable
-        assert reuse_cache.cache_info().currsize == 1 and key not in reuse_cache.dropped
+        assert reuse_cache.cache_info().currsize == 1 and (CG_BUILD, key) not in budget.dropped
         assert reuse_cache(*key) is again
 
-    def test_the_fifo_and_its_dropped_keys_stay_within_their_caps(self, reuse_cache):
+    def test_the_fifo_and_its_dropped_keys_stay_within_their_caps(self, reuse_cache, budget):
         two = SpinSpace(H(4), 0.37)
         keys = [spin_one_key(n / 10) for n in range(10)] + [(two, two, SpinSpace(H(8), 0.37))]
         for key in keys:
             reuse_cache(*key)
-            assert sum(t.nbytes for t in reuse_cache.waiting.values()) <= 2000
-            assert len(reuse_cache.dropped) <= 4
+            assert budget.held == sum(t.nbytes for t in budget.waiting.values()) <= 2000
+            assert len(budget.dropped) <= 4
         # the 3,600-byte tensor never waits; the oldest dropped keys are forgotten
-        assert list(reuse_cache.waiting) == keys[8:10]
-        assert list(reuse_cache.dropped) == keys[5:8] + keys[10:]
+        assert list(budget.waiting) == [(CG_BUILD, key) for key in keys[8:10]]
+        assert list(budget.dropped) == [(CG_BUILD, key) for key in keys[5:8] + keys[10:]]
         reuse_cache(*keys[0])
         assert reuse_cache.cache_info().currsize == 0
 
-    def test_cache_clear_empties_the_fifo_the_dropped_keys_and_the_lru(self, reuse_cache):
+    def test_cache_clear_empties_the_fifo_the_dropped_keys_and_the_lru(self, reuse_cache, budget):
         for r in (0.0, 0.1, 0.2, 0.3, 0.0):
             reuse_cache(*spin_one_key(r))
         assert reuse_cache.cache_info().currsize == 1
-        assert reuse_cache.waiting and reuse_cache.dropped
+        assert budget.waiting and budget.dropped
         reuse_cache.cache_clear()
         assert reuse_cache.cache_info().currsize == 0
-        assert reuse_cache.waiting == {} and reuse_cache.dropped == {}
+        assert budget.waiting == {} and budget.dropped == {} and budget.held == 0
         key = spin_one_key(0.0)
         reuse_cache(*key)
-        assert list(reuse_cache.waiting) == [key] and reuse_cache.cache_info().currsize == 0
+        assert list(budget.waiting) == [(CG_BUILD, key)]
+        assert reuse_cache.cache_info().currsize == 0
+
+
+class TestSharedFirstUseBudget:
+    def test_the_caches_share_one_fifo_but_not_their_results(self, budget):
+        cg = nonstandard._cache_on_reuse(CG_BUILD, budget)
+        fb = nonstandard._cache_on_reuse(FBAR_BUILD, budget)
+        key = spin_one_key(0.37)  # the same spaces name a CG tensor and an f-bar tensor
+        first_cg, first_fbar = cg(*key), fb(*key)
+        assert list(budget.waiting) == [(CG_BUILD, key), (FBAR_BUILD, key)]
+        assert budget.held == first_cg.nbytes + first_fbar.nbytes
+        fb(*spin_one_key(0.1))  # 2,160 bytes: the oldest, the CG tensor, goes
+        assert list(budget.dropped) == [(CG_BUILD, key)]
+        assert fb(*key) is first_fbar and cg(*key).tobytes() == first_cg.tobytes()
+        assert cg.cache_info().currsize == fb.cache_info().currsize == 1
+
+    def test_cache_clear_leaves_the_other_caches_first_uses(self, budget):
+        cg = nonstandard._cache_on_reuse(CG_BUILD, budget)
+        basis = nonstandard._cache_on_reuse(BASIS_BUILD, budget)
+        key = spin_one_key(0.37)
+        cg(*key)
+        waiting = basis(key[0])
+        for r in (0.1, 0.2):
+            cg(*spin_one_key(r))
+        assert {build for build, _ in budget.dropped} == {CG_BUILD}
+        cg.cache_clear()
+        assert list(budget.waiting) == [(BASIS_BUILD, key[:1])] and budget.dropped == {}
+        assert budget.held == waiting.nbytes and basis(key[0]) is waiting
+
+    def test_a_basis_matrix_asked_for_once_never_enters_the_basis_lru(self, budget):
+        basis = nonstandard._cache_on_reuse(BASIS_BUILD, budget)
+        for n in range(6):  # 1,296 bytes each: one waits at a time
+            basis(SpinSpace(H(8), n / 6))
+            assert basis.cache_info().currsize == 0
+            assert budget.held == 1296 and len(budget.waiting) == 1
+        assert len(budget.dropped) == 4
+        basis_matrix.cache_clear()
+        basis_matrix(SpinSpace(H(5), 0.123))
+        assert basis_matrix.cache_info().currsize == 0
+
+    def test_a_basis_matrix_asked_for_twice_enters_the_basis_lru_with_the_same_bits(self, budget):
+        basis = nonstandard._cache_on_reuse(BASIS_BUILD, budget)
+        space = SpinSpace(H(8), 0.37)
+        first = basis(space)
+        basis(SpinSpace(H(8), 0.1))  # drops the first
+        again = basis(space)
+        assert again is not first and again.tobytes() == first.tobytes()
+        assert not again.flags.writeable and basis.cache_info().currsize == 1
+        assert basis(space) is again
+        assert again.tobytes() == BASIS_BUILD(space).tobytes() == basis_matrix(space).tobytes()
+
+    def test_a_mixed_sweep_never_holds_more_than_the_budget(self, monkeypatch):
+        # five values of r at 2j1 = 2j2 = 16 bring 6.7 MB of CG tensors used once, beside
+        # f-bar tensors and basis matrices; every admission is checked as it returns or raises
+        first_uses, seen = nonstandard._FIRST_USES, set()
+        admit = first_uses.admit
+
+        def checked(build, args):
+            try:
+                return admit(build, args)
+            finally:
+                held = sum(result.nbytes for result in first_uses.waiting.values())
+                assert first_uses.held == held <= nonstandard._FIRST_USE_BYTES
+                assert len(first_uses.dropped) <= nonstandard._CACHE_SIZE
+                seen.update(build for build, _ in first_uses.waiting)
+
+        monkeypatch.setattr(first_uses, "admit", checked)
+        caches = (basis_matrix, cg_nonstandard_tensor, fbar_tensor)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            for n in range(5):
+                r = 0.1 + n / 7
+                sp, one = SpinSpace(H(16), r), SpinSpace(H(2), r)
+                assert verify_cg_orthonormality(sp, sp).worst() < 1e-10
+                verify_fbar_symmetry(one, sp, SpinSpace(H(16), r))
+            assert seen == {BASIS_BUILD, CG_BUILD, FBAR_BUILD}
+            assert first_uses.dropped
+        finally:
+            for cache in caches:
+                cache.cache_clear()
 
 
 class TestBasisTransforms:
@@ -513,6 +611,36 @@ def test_panel_residuals_match_the_full_products(r, pairs):
             assert abs(report[name] - value) <= 4 * EPS, (tj1, tj2, name, report[name], value)
 
 
+def two_buffer_residuals(w):
+    """Both residuals as the check formed them beside a conjugate copy of W: the same upper
+    row panels, each a product of views of w and w.conj()."""
+    w_conj = w.conj()
+
+    def defect(left, right):
+        n = left.shape[0]
+        count = -(-n // nonstandard._GRAM_PANEL_ROWS)
+        edges = [n * k // count for k in range(count + 1)]
+        worst = []
+        for lo, hi in zip(edges, edges[1:]):
+            panel = left[lo:hi] @ right[:, lo:]
+            panel[np.arange(hi - lo), np.arange(hi - lo)] -= 1.0
+            worst.append(np.max(np.abs(panel)))
+        return float(np.max(worst))
+
+    return {"rows_orthonormal": defect(w_conj.T, w), "complete": defect(w, w_conj.T)}
+
+
+# n <= 48 in one panel, n = 289 in seven, n = 1089 in 23
+@pytest.mark.parametrize("tj1,tj2", [(0, 0), (2, 3), (3, 11), (6, 5), (16, 16), (32, 32)])
+@pytest.mark.parametrize("r", [0.37, -5 / 3])
+def test_residuals_equal_the_two_buffer_route_bit_for_bit(tj1, tj2, r):
+    sp1, sp2 = SpinSpace(H(tj1), r), SpinSpace(H(tj2), r)
+    report = verify_cg_orthonormality(sp1, sp2).residuals
+    old = two_buffer_residuals(change_of_basis(sp1, sp2))
+    assert {name: value.hex() for name, value in report.items()} == \
+        {name: value.hex() for name, value in old.items()}
+
+
 # n = 289 in seven panels, n = 81 in two, n = 102 in three
 @pytest.mark.parametrize("tj1,tj2", [(16, 16), (8, 8), (16, 5)])
 @pytest.mark.parametrize("relation", ["rows_orthonormal", "complete"])
@@ -535,7 +663,7 @@ def test_a_defect_in_the_last_panel_is_reported(monkeypatch, tj1, tj2, relation,
     assert report[relation] >= 1e-7, report
 
 
-def test_a_warm_call_allocates_under_three_squares():
+def test_a_warm_call_allocates_under_one_and_a_half_squares():
     sp = SpinSpace(H(16), 0.37)
     verify_cg_orthonormality(sp, sp)  # fills the tensor caches
     tracemalloc.start()
@@ -545,8 +673,9 @@ def test_a_warm_call_allocates_under_three_squares():
     finally:
         tracemalloc.stop()
     n = sp.dim * sp.dim
-    # W and its conjugate are two n x n complex arrays; the full products made four
-    assert peak <= 3 * n * n * 16, peak / (n * n * 16)
+    # W is the one n x n complex array, beside one panel and its conjugate slice (1.41 squares);
+    # with a conjugate copy of W the check took two, and the full products made four
+    assert peak <= 1.5 * n * n * 16, peak / (n * n * 16)
 
 
 # Unequal legs, one of them 2j = 0: a wrong axis in a reshape or transpose

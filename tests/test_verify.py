@@ -16,8 +16,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from wigner_nonstd import cli, verify
+from wigner_nonstd import cli, nonstandard, verify
 from wigner_nonstd.halfint import HalfInt
 from wigner_nonstd.standard_wra import ExactSqrtRational
 from wigner_nonstd.su2gen import ResidualReport
@@ -88,6 +89,45 @@ def test_quon_cyclicity_takes_the_winding_of_the_diagonal_multiplet(monkeypatch)
     r_values = (0.37, -5 / 3, 1e12)
     verify.quon_suite(VerifyConfig(r_values=r_values, k_values=(2, 3, 8)))
     assert seen == [(k, Fraction(r) * (k - 1) / 2) for k in (2, 3, 8) for r in r_values]
+
+
+def test_quon_cyclicity_fails_on_the_winding_of_another_multiplet(monkeypatch):
+    # the winding of j = k/2 instead of (k-1)/2: the wrap entry on the diagonal multiplet
+    # no longer equals the spin layer's e^(i phi_r) wherever that phase moves
+    winding_turns = verify.winding_turns
+    monkeypatch.setattr(verify, "winding_turns", lambda j, r: winding_turns(j + HalfInt(1), r))
+    config = VerifyConfig(r_values=(0.0, 0.37, -5 / 3, 1e12), k_values=(2, 3, 8))
+    rows = [c for c in verify.quon_suite(config) if c["check"] == "quon.cyclicity"]
+    assert len(rows) == 12
+    failed = {(c["parameters"]["k"], c["parameters"]["r"]) for c in rows if not c["pass"]}
+    assert failed == {(k, r) for k in (2, 3, 8) for r in (0.37, -5 / 3)}
+
+
+@pytest.mark.parametrize("argv, tensors", [
+    (["verify", "--k", "2-22", "--seed", "21"], 1719),
+    (["verify"], 1756),
+], ids=["k2-22-seed21", "default"])
+def test_verify_builds_as_many_alpha_results_as_one_lru_of_every_result(monkeypatch, capsys,
+                                                                         argv, tensors):
+    # the 4 MiB first-use budget that the three caches share is large enough for verify's
+    # reuse (with 1 MiB, --k 2-22 --seed 21 builds 1735 tensors). Fresh caches stand in for a
+    # fresh process, with every builder counted.
+    builds, first_uses = collections.Counter(), nonstandard._FirstUses()
+    for name in ("basis_matrix", "cg_nonstandard_tensor", "fbar_tensor"):
+        cached = getattr(nonstandard, name)
+
+        def counted(*spaces, build=cached.__wrapped__, name=name):
+            builds[name] += 1
+            return build(*spaces)
+
+        fresh = nonstandard._cache_on_reuse(counted, first_uses)
+        for module in (nonstandard, verify):
+            if getattr(module, name, None) is cached:
+                monkeypatch.setattr(module, name, fresh)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert builds["cg_nonstandard_tensor"] + builds["fbar_tensor"] == tensors
+    assert builds["basis_matrix"] == 104
 
 
 def test_every_row_carries_its_default_tolerance():
