@@ -25,9 +25,11 @@ two-space indent writes, except that a non-finite float (a failing verify
 residual) is null, and CSV what csv.writer writes. A job is refused (bad or
 missing flags, non-finite values, over MAX_ROWS rows, an --r at which an
 alpha label overflows) before any byte is written: a block refuses a
-non-finite value when it is made. A config file in key = value form may
-set any subcommand's long flags; each reads its own, other keys are
-refused, and explicit flags win.
+non-finite value when it is made, and export-ops builds and checks every
+r's operators first, then builds them again one r at a time as it writes,
+so that it holds one r's matrices at a time. A config file in key = value
+form may set any subcommand's long flags; each reads its own, other keys
+are refused, and explicit flags win.
 Exit status: 0 success, 1 verification failure, 2 bad arguments, 74 a failed
 write to stdout or --output (EX_IOERR), 141 stdout or an --output FIFO closed
 by its reader before the output was written (128 + SIGPIPE).
@@ -286,29 +288,41 @@ def _table_csv(document: dict) -> Iterator[str]:
     return itertools.chain([header], *map(_csv_rows, document["rows"]))
 
 
+@dataclass(frozen=True)
+class _Export:
+    """export-ops's item for one r, built each time a writer or the check reaches it, so that
+    one r's six matrices are held at a time."""
+
+    j: HalfInt
+    r: float
+
+    def operators(self) -> dict[str, np.ndarray]:
+        ops = build_spin_ops(SpinSpace(self.j, self.r))
+        return {"h": ops.h, "u_r": ops.u_r, "j_plus": ops.j_plus,
+                "j_minus": ops.j_minus, "j3": ops.j3, "j_squared": ops.j_squared}
+
+    def document(self) -> dict:
+        space = SpinSpace(self.j, self.r)
+        return {"j": str(self.j), "r": self.r, "basis_m": [str(m) for m in space.m_list],
+                "alpha": [label.alpha for label in alpha_labels(space)],
+                "operators": self.operators()}
+
+
 def _export_ops_payload(config: JobConfig) -> dict:
+    """The exports, one lazy item per r, once every r's operators are built and found finite."""
     if config.j is None:
         raise ConfigError("export-ops needs --j")
     n_r = len(config.r_values)
     _check_rows(f"export-ops --j {config.j} --r (n = {n_r})", n_r * 6 * (config.j.twice + 1) ** 2)
     _check_alphas(config.j, config.r_values)
-    exports = []
-    for r in config.r_values:
-        space = SpinSpace(config.j, r)
-        ops = build_spin_ops(space)
-        operators = {"h": ops.h, "u_r": ops.u_r, "j_plus": ops.j_plus,
-                     "j_minus": ops.j_minus, "j3": ops.j3, "j_squared": ops.j_squared}
-        for name, entries in operators.items():
-            if not np.isfinite(entries).all():
-                raise ValueError(f"export-ops --j {config.j} --r {r!r}: "
-                                 f"operator {name} has a non-finite entry")
-        exports.append({
-            "j": str(config.j),
-            "r": r,
-            "basis_m": [str(m) for m in space.m_list],
-            "alpha": [label.alpha for label in alpha_labels(space)],
-            "operators": operators,
-        })
+    exports = [_Export(config.j, r) for r in config.r_values]
+    for export in exports:
+        # built, checked and dropped here, so that a refusal comes before any byte
+        bad = [name for name, entries in export.operators().items()
+               if not np.isfinite(entries).all()]
+        if bad:
+            raise ValueError(f"export-ops --j {config.j} --r {export.r!r}: "
+                             f"operator {bad[0]} has a non-finite entry")
     return {"exports": exports}
 
 
@@ -316,10 +330,14 @@ def _export_ops_csv(payload: dict) -> Iterator[str]:
     """One CSV row per matrix entry: each operator is a block with fixed labels (j, r, name)."""
     yield _csv_line(["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"])
     for export in payload["exports"]:
-        index = tuple(map(str, range(len(export["basis_m"]))))
-        for name, entries in sorted(export["operators"].items()):
-            yield from _csv_rows(_Block((export["j"], repr(export["r"]), name),
-                                        (index, index), entries))
+        yield from _export_csv_rows(export)
+
+
+def _export_csv_rows(export: _Export) -> Iterator[str]:
+    """One r's operators, in name order; they are dropped when the last row is written."""
+    index = tuple(map(str, range(export.j.twice + 1)))
+    for name, entries in sorted(export.operators().items()):
+        yield from _csv_rows(_Block((str(export.j), repr(export.r), name), (index, index), entries))
 
 
 def _verify_csv(report: dict) -> Iterator[str]:
@@ -334,8 +352,9 @@ def _verify_csv(report: dict) -> Iterator[str]:
 # only from its pure-Python encoder) and of csv.writer, from fixed text templates.
 
 _quote = json.encoder.encode_basestring_ascii
-# rows per chunk of table output
-_CHUNK_ROWS = 2048
+# rows per chunk of table output, about 57 KB of tabulate-cg JSON. 2048 rows added 1-2 MB
+# to the peak RSS of the table jobs; below 256 the peak hardly falls
+_CHUNK_ROWS = 256
 
 
 def _rows(block: _Block, template: str, separator: str, quote, columns) -> Iterator[str]:
@@ -383,7 +402,8 @@ def _indent(level: int) -> str:
 
 def _json_chunks(value, level: int) -> Iterator[str]:
     """value as json.dump with a two-space indent writes it at nesting level, in chunks; a complex
-    matrix is written as its rows of [re, im] pairs, and a _Block as its rows, spliced in."""
+    matrix is written as its rows of [re, im] pairs, a _Block as its rows, spliced in, and an
+    _Export as the document it builds, which is dropped before the next list item is made."""
     if isinstance(value, str):
         yield _quote(value)
     elif isinstance(value, float) and not math.isfinite(value):
@@ -394,6 +414,8 @@ def _json_chunks(value, level: int) -> Iterator[str]:
         yield from _array_text(value, level)
     elif isinstance(value, _Block):
         yield from _block_rows(value, level)
+    elif isinstance(value, _Export):
+        yield from _json_chunks(value.document(), level)
     elif isinstance(value, (dict, list, tuple)):
         if not value:
             yield "{}" if isinstance(value, dict) else "[]"

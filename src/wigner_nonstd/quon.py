@@ -235,16 +235,18 @@ def build_ur(rep: QuonRep, turns: float | Fraction) -> KronPair:
     return KronPair(a_factor, b_factor)
 
 
-def cyclicity_residual(rep: QuonRep, turns: float | Fraction) -> float:
+def cyclicity_residual(rep: QuonRep, turns: float | Fraction, *,
+                       u: KronPair | None = None) -> float:
     """Max-abs deviation of U_r^k from e^{i phi_r} times the identity; turns = phi_r/(2 pi).
 
+    u, if given, is build_ur(rep, turns), for a caller that reads U_r too.
     U_r^k = A^k (x) B^k. Its main-diagonal entries are A^k[i,i] B^k[j,j];
     every other entry has an off-diagonal factor from A^k (with any entry
     of B^k) or from B^k (with a diagonal entry of A^k). So the deviation
     is the largest of three k x k quantities, and the k^2 x k^2 power is
     never formed.
     """
-    u_k = build_ur(rep, turns).power(rep.k)
+    u_k = (build_ur(rep, turns) if u is None else u).power(rep.k)
     wrap = unit_phase(*turns.as_integer_ratio())
     diag_a, diag_b = np.diag(u_k.a), np.diag(u_k.b)
     return float(np.max([

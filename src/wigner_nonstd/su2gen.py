@@ -90,7 +90,11 @@ class SpinOperatorSet:
 
     @cached_property
     def j_squared(self) -> np.ndarray:
-        return self.j_minus @ self.j_plus + self.j3 @ self.j3 + self.j3
+        # J- J+ + J3 J3 + J3 added in place, left to right as the one expression adds: same bits
+        j_squared = self.j_minus @ self.j_plus
+        j_squared += self.j3 @ self.j3
+        j_squared += self.j3
+        return j_squared
 
 
 @dataclass(frozen=True)
@@ -186,16 +190,13 @@ def diagonal_multiplet_indices(k: int) -> list[int]:
     return [n_a * k + (k - 1 - n_a) for n_a in range(k)]
 
 
-def restrict_fock_operator(op: KronPair | np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Cut the diagonal-multiplet block out of a product-space operator.
+def multiplet_block(op: KronPair | np.ndarray, k: int) -> np.ndarray:
+    """The diagonal-multiplet block of a product-space operator, in the m-ascending basis.
 
     op is a KronPair A (x) B of k x k factors or, for a diagonal operator,
-    the k x k grid of its diagonal. Returns the k x k block in the
-    m-ascending basis together with the leakage: the largest matrix element
-    connecting the multiplet to its complement. Both are read off the
-    factors by index; member n of the multiplet is |n, k-1-n>, so the block
-    entry [n, n'] is A[n, n'] B[k-1-n, k-1-n']. A diagonal operator has
-    leakage exactly zero, and so do H, U_r and anything built from them.
+    the k x k grid of its diagonal. The block is read off the factors by
+    index: member n of the multiplet is |n, k-1-n>, so the block entry
+    [n, n'] is A[n, n'] B[k-1-n, k-1-n'].
     """
     factors = (op.a, op.b) if isinstance(op, KronPair) else (op,)
     for factor in factors:
@@ -203,9 +204,22 @@ def restrict_fock_operator(op: KronPair | np.ndarray, k: int) -> tuple[np.ndarra
             raise ValueError(f"operator factor of shape {factor.shape} is not {k} x {k}")
     flip = np.arange(k)[::-1]
     if not isinstance(op, KronPair):
-        return np.diag(op[np.arange(k), flip]), 0.0
-    a, b = factors
-    block = a * b[np.ix_(flip, flip)]
+        return np.diag(op[np.arange(k), flip])
+    return op.a * op.b[np.ix_(flip, flip)]
+
+
+def restrict_fock_operator(op: KronPair | np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Cut the diagonal-multiplet block out of a product-space operator.
+
+    Returns multiplet_block(op, k) together with the leakage: the largest
+    matrix element connecting the multiplet to its complement, also read
+    off the factors by index. A diagonal operator has leakage exactly
+    zero, and so do H, U_r and anything built from them.
+    """
+    block = multiplet_block(op, k)
+    if not isinstance(op, KronPair):
+        return block, 0.0
+    a, b, flip = op.a, op.b, np.arange(k)[::-1]
     # off[x, y]: |x, y> lies off the multiplet, i.e. y != k-1-x
     off = np.arange(k)[None, :] != flip[:, None]
     # multiplet rows, other columns: [n, n', m'] = A[n, n'] B[k-1-n, m']

@@ -31,7 +31,7 @@ import numpy as np
 
 from .halfint import HalfInt, coupled_j_values, m_values, triangle
 from .quon import (
-    QuonRep,
+    KronPair,
     build_rep,
     build_ur,
     cyclicity_residual,
@@ -45,8 +45,8 @@ from .su2gen import (
     SpinSpace,
     build_spin_ops,
     casimir_identities,
+    multiplet_block,
     quon_restriction_report,
-    restrict_fock_operator,
     verify_su2,
     winding_turns,
 )
@@ -152,13 +152,13 @@ def _spins(limit: HalfInt) -> list[HalfInt]:
 # ---------------------------------------------------------------------------
 # quon suite
 
-def _multiplet_wrap_residual(rep: QuonRep, turns: Fraction, r: float) -> float:
+def _multiplet_wrap_residual(u: KronPair, r: float) -> float:
     """|U_r's wrap entry on the diagonal multiplet - the spin layer's e^(i phi_r)|.
 
     cyclicity_residual holds for any turns; this ties them to phi_r = 2 pi j r.
     """
-    block, _ = restrict_fock_operator(build_ur(rep, turns), rep.k)
-    return float(abs(block[0, rep.k - 1] - SpinSpace(HalfInt(rep.k - 1), r).wrap_factor))
+    k = len(u.a)
+    return float(abs(multiplet_block(u, k)[0, k - 1] - SpinSpace(HalfInt(k - 1), r).wrap_factor))
 
 
 @_suite
@@ -170,8 +170,9 @@ def quon_suite(config: VerifyConfig) -> _Residuals:
             yield name, {"k": k}, value
         for r in config.r_values:
             turns = Fraction(*winding_turns(HalfInt(k - 1), r))
-            yield "quon.cyclicity", {"k": k, "r": r}, cyclicity_residual(rep, turns)
-            yield "quon.cyclicity", {"k": k, "r": r}, _multiplet_wrap_residual(rep, turns, r)
+            u = build_ur(rep, turns)
+            yield "quon.cyclicity", {"k": k, "r": r}, cyclicity_residual(rep, turns, u=u)
+            yield "quon.cyclicity", {"k": k, "r": r}, _multiplet_wrap_residual(u, r)
         if k <= W_INFINITY_K_MAX:
             yield "quon.w_infinity", {"k": k}, w_algebra_residual(rep, 0.0)
 

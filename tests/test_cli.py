@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -420,6 +421,47 @@ class TestExportOps:
                         "--output", str(out)) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_entry_at_the_last_r_exits_two_and_writes_nothing(self, capsys, tmp_path,
+                                                                         monkeypatch, fmt):
+        # every r is checked before the first byte, not only the r being written
+        real_build = cli.build_spin_ops
+
+        def inf_at_last_r(space):
+            ops = real_build(space)
+            if space.r != -5 / 3:
+                return ops
+            u_r = ops.u_r.copy()
+            u_r[1, 0] = complex("inf")
+            return dataclasses.replace(ops, u_r=u_r)
+
+        monkeypatch.setattr(cli, "build_spin_ops", inf_at_last_r)
+        argv = ["export-ops", "--j", "3/2", "--r=0,0.37,-5/3", "--format", fmt]
+        assert run_main(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: export-ops --j 3/2 --r -1.6666666666666667: "
+                "operator u_r has a non-finite entry") in captured.err
+        assert run_main(*argv, "--output", str(tmp_path / "ops.out")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    # CSV at j = 16, where five r take about half a second under tracemalloc
+    @pytest.mark.parametrize("fmt, j", [("json", "64"), ("csv", "16")])
+    def test_memory_does_not_grow_with_the_number_of_r(self, fmt, j):
+        # one r's matrices are held at a time, so five r peak as one r does
+        def peak(r_values):
+            tracemalloc.start()
+            try:
+                assert run_main("export-ops", "--j", j, f"--r={r_values}", "--format", fmt,
+                                "--output", os.devnull) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_main("export-ops", "--j", "1", "--format", fmt, "--output", os.devnull)
+        one, five = peak("1/3"), peak("1/3,-5/7,2/9,3/11,5/13")
+        assert five <= 1.1 * one, (one, five)
+
 
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):
@@ -761,7 +803,7 @@ def csv_reference_rows(command, document):
     """The CSV rows of a command's document as lists of cells, for csv.writer."""
     if command == "export-ops":
         yield ["j", "r", "operator", "row", "col", "re", "im", "magnitude", "phase"]
-        for export in document["exports"]:
+        for export in (item.document() for item in document["exports"]):
             for name, entries in sorted(export["operators"].items()):
                 for i, row in enumerate(entries.tolist()):
                     for k, value in enumerate(row):
@@ -784,7 +826,10 @@ def csv_reference_rows(command, document):
 
 
 def plain(document):
-    """A document with its arrays and table blocks turned into lists and dicts, for json.dumps."""
+    """A document with its arrays, table blocks and lazy exports turned into lists and dicts,
+    for json.dumps."""
+    if isinstance(document, cli._Export):
+        return plain(document.document())
     if isinstance(document, dict):
         return {key: plain(value) for key, value in document.items()}
     if isinstance(document, np.ndarray):

@@ -20,8 +20,9 @@ import pytest
 
 from wigner_nonstd import cli, nonstandard, verify
 from wigner_nonstd.halfint import HalfInt
+from wigner_nonstd.quon import MAX_K, build_rep, build_ur
 from wigner_nonstd.standard_wra import ExactSqrtRational
-from wigner_nonstd.su2gen import ResidualReport
+from wigner_nonstd.su2gen import ResidualReport, SpinSpace, restrict_fock_operator, winding_turns
 from wigner_nonstd.verify import DEFAULT_TOLERANCES, VerifyConfig, run_suites
 
 # The (check, parameters) rows of the default grid with k = 2..22, as the
@@ -81,7 +82,7 @@ def test_quon_cyclicity_takes_the_winding_of_the_diagonal_multiplet(monkeypatch)
     # cannot see a wrong winding; this pins phi_r/(2 pi) = j r at j = (k-1)/2
     seen = []
 
-    def recording(rep, turns):
+    def recording(rep, turns, *, u):
         seen.append((rep.k, turns))
         return 0.0
 
@@ -101,6 +102,19 @@ def test_quon_cyclicity_fails_on_the_winding_of_another_multiplet(monkeypatch):
     assert len(rows) == 12
     failed = {(c["parameters"]["k"], c["parameters"]["r"]) for c in rows if not c["pass"]}
     assert failed == {(k, r) for k in (2, 3, 8) for r in (0.37, -5 / 3)}
+
+
+def test_multiplet_wrap_residual_equals_the_restriction_route_bit_for_bit():
+    # the wrap entry is read from the one U_r that the cyclicity row uses, through the same
+    # k x k block product as restrict_fock_operator, with no leakage scan
+    for k in range(2, MAX_K + 1):
+        rep = build_rep(k)
+        for r in (0.0, 0.37, 1.0, 2.5, -5 / 3):
+            turns = Fraction(*winding_turns(HalfInt(k - 1), r))
+            block, _ = restrict_fock_operator(build_ur(rep, turns), k)
+            old = float(abs(block[0, k - 1] - SpinSpace(HalfInt(k - 1), r).wrap_factor))
+            new = verify._multiplet_wrap_residual(build_ur(rep, turns), r)
+            assert np.float64(new).view(np.uint64) == np.float64(old).view(np.uint64), (k, r)
 
 
 @pytest.mark.parametrize("argv, tensors", [
